@@ -25,6 +25,10 @@ also feed d^i_{t,k} to their oracles (the neighbor information is real);
 
 All agents advance in lockstep; the single-threaded execution order here
 is the reference semantics for any parallel driver.
+
+The n*K oracles sit in one bank, row i*K + k - 1 for oracle k of agent i,
+and answer a round's queries with one batched LMO call: the oracles never
+see the iterates.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_
 
 
 class NetworkRun:
-    """Lockstep state for n agents: oracles, buffers, outstanding sub-iterates."""
+    """Lockstep state for n agents: oracle bank, buffers, outstanding sub-iterates."""
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
                  x_init_policy: str = "zero_lmo", feed_empty: bool = True,
@@ -74,17 +78,15 @@ class NetworkRun:
         # per-round snapshots of every sub-step quantity, for invariant checks
         self.record_details = record_details
         self.details = {}
-        n = gossip.n
-        self.oracles = [
-            [FtplOracle(cset, params.zeta, seeding.oracle_rng(seed, i, k))
-             for k in range(1, params.K + 1)]
-            for i in range(n)
-        ]
+        n, K = gossip.n, params.K
+        self.bank = FtplOracle(cset, params.zeta, [
+            seeding.oracle_rng(seed, i, k) for i in range(n) for k in range(1, K + 1)
+        ])
         self.buffers = [FeedbackBuffer() for _ in range(n)]
         self.history = {}  # origin t -> (n, K+1, m) sub-iterates
         self._remaining = {}  # origin t -> agents that have not released it yet
-        start = cset.lmo(np.zeros(cset.dim))
-        self._x_prev = np.tile(start, (n, 1))
+        self._start = np.tile(cset.lmo(np.zeros(cset.dim)), (n, 1))
+        self._x_prev = self._start
         self._predicted = 0
         # diagnostics of the most recent round, (K,) each
         self.last_consensus = None
@@ -102,27 +104,22 @@ class NetworkRun:
         K, n, m = self.params.K, self.n, self.cset.dim
         subs = np.empty((n, K + 1, m))
         cons = np.empty(K)
-        vs = np.empty((n, K, m))
+        vs = self.bank.query().reshape(n, K, m)
         ys = np.empty((n, K, m))
-        if self.x_init_policy == "previous":
-            X = self._x_prev.copy()
-        else:
-            X = np.tile(self.cset.lmo(np.zeros(m)), (n, 1))
+        X = self._x_prev if self.x_init_policy == "previous" else self._start
         for k in range(1, K + 1):
             subs[:, k - 1] = X
-            V = np.array([self.oracles[i][k - 1].query() for i in range(n)])
             Y = self.gossip.mix(X)
             cons[k - 1] = consensus_error(Y, X.mean(axis=0))
-            vs[:, k - 1] = V
             ys[:, k - 1] = Y
             eta = self.params.eta(k)
-            X = (1.0 - eta) * Y + eta * V
+            X = (1.0 - eta) * Y + eta * vs[:, k - 1]
         subs[:, K] = X
         self.history[t] = subs
         if self.record_details:
             self.details[t] = {"subs": subs.copy(), "v": vs, "y": ys}
         self._remaining[t] = self.n
-        self._x_prev = X.copy()
+        self._x_prev = X
         self.last_consensus = cons
         return X
 
@@ -141,33 +138,33 @@ class NetworkRun:
                 if s > t:
                     raise ValueError(f"agent {i}: release of round {s} before round {t}")
 
-        def local_sums(col: int) -> np.ndarray:
-            out = np.zeros((n, m))
-            for i, pairs in enumerate(released):
-                if pairs:
-                    losses = [f for _, f in pairs]
-                    pts = [self.history[s][i, col] for s, _ in pairs]
-                    out[i] = sum_gradients(losses, pts)
-            return out
-
-        S = local_sums(0)  # gradients at x^i_{s,1}
+        # sums[k] holds S^i_{k+1} = sum_{s in F^i_t} grad f^i_s(x^i_{s,k+1}) for every agent i
+        sums = np.zeros((K, n, m))
+        for i, pairs in enumerate(released):
+            if pairs:
+                sums[:, i] = sum_gradients([f for _, f in pairs],
+                                           [self.history[s][i, :K] for s, _ in pairs])
+        S = sums[0]
         G = S
         track = np.empty(K)
-        ds = np.empty((n, K, m)) if self.record_details else None
+        ds = np.empty((n, K, m))
         ss = np.empty((n, K, m)) if self.record_details else None
         for k in range(1, K + 1):
             Dk = self.gossip.mix(G)
             track[k - 1] = consensus_error(Dk, S.mean(axis=0))
+            ds[:, k - 1] = Dk
             if self.record_details:
-                ds[:, k - 1] = Dk
                 ss[:, k - 1] = S
-            for i in range(n):
-                if self.feed_empty or released[i]:
-                    self.oracles[i][k - 1].feedback(Dk[i])
             if k < K:
-                S_next = local_sums(k)
+                S_next = sums[k]
                 G = S_next + (Dk - S)
                 S = S_next
+        if self.feed_empty:
+            self.bank.feedback(ds.reshape(n * K, m))
+        else:
+            active = np.flatnonzero([bool(pairs) for pairs in released])
+            rows = (active[:, None] * K + np.arange(K)).ravel()
+            self.bank.feedback(ds[active].reshape(len(rows), m), rows)
         if self.record_details:
             self.details[t].update({"d": ds, "s": ss})
         # an origin's sub-iterates stay until every agent has released it
@@ -214,8 +211,8 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
         "seed": seed,
         "T": T,
         "K": params.K,
-        "A": repr(params.A),
-        "zeta": repr(params.zeta),
+        "A": repr(float(params.A)),
+        "zeta": repr(float(params.zeta)),
         "B": repr(b_mean),
         "B_est": repr(params.B_est),
         "n": n,

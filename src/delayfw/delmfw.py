@@ -6,10 +6,13 @@ oracles:
     x_{t,1} = fixed feasible start
     for k = 1..K:  v_{t,k} = O_k.query();  x_{t,k+1} = (1-eta_k) x_{t,k} + eta_k v_{t,k}
 
-and plays x_t = x_{t,K+1}.  The loss of round t surfaces only at round
-t + d_t - 1; when a set F_t of origin rounds matures, oracle k receives the
-surrogate gradient g_{t,k} = sum_{s in F_t} grad f_s(x_{s,k}), which is why
-the sub-iterates of every outstanding round are kept until release.
+and plays x_t = x_{t,K+1}.  The oracles do not depend on the iterate, so
+the K vertices of a round come from one query of a K-row oracle bank.  The
+loss of round t surfaces only at round t + d_t - 1; when a set F_t of origin
+rounds matures, oracle k receives the surrogate gradient
+g_{t,k} = sum_{s in F_t} grad f_s(x_{s,k}), which is why the sub-iterates of
+every outstanding round are kept until release.  One gradient call per
+released loss covers all K sub-iterates at once.
 
 Default constants follow the sqrt(BT)-regret tuning: K = ceil(sqrt(T)),
 eta_k = min(1, A/k) with A = max(3, G/(beta*D)), and zeta = 1/(G*sqrt(B)).
@@ -73,7 +76,10 @@ def centralized_params(T: int, G: float, beta: float, D: float, B_est: float,
 
 
 def sum_gradients(losses, points) -> np.ndarray:
-    """sum_s grad f_s(points[s]) in list order, seeded by the first term."""
+    """sum_s grad f_s(points[s]) in list order, seeded by the first term.
+
+    Each point may be a (..., m) stack; the sum is then taken row by row.
+    """
     g = losses[0].grad(points[0]).copy()
     for f, x in zip(losses[1:], points[1:]):
         g += f.grad(x)
@@ -81,7 +87,7 @@ def sum_gradients(losses, points) -> np.ndarray:
 
 
 class DelmfwState:
-    """Round-driven state: K oracles, release buffer, outstanding sub-iterates."""
+    """Round-driven state: K-row oracle bank, release buffer, outstanding sub-iterates."""
 
     def __init__(self, cset: ConstraintSet, params: AlgoParams, seed,
                  x_init_policy: str = "zero_lmo", agent: int = 0):
@@ -90,19 +96,20 @@ class DelmfwState:
         self.cset = cset
         self.params = params
         self.x_init_policy = x_init_policy
-        self.oracles = [
-            FtplOracle(cset, params.zeta, seeding.oracle_rng(seed, agent, k))
-            for k in range(1, params.K + 1)
-        ]
+        # row k-1 is oracle k
+        self.bank = FtplOracle(cset, params.zeta, [
+            seeding.oracle_rng(seed, agent, k) for k in range(1, params.K + 1)
+        ])
         self.buffer = FeedbackBuffer()
         self.history = {}  # origin round -> (K, m) sub-iterates x_{t,1..K}
-        self._x_prev = cset.lmo(np.zeros(cset.dim))
+        self._start = cset.lmo(np.zeros(cset.dim))
+        self._x_prev = self._start
         self._predicted = 0
 
     def x_init(self) -> np.ndarray:
         if self.x_init_policy == "previous":
             return self._x_prev
-        return self.cset.lmo(np.zeros(self.cset.dim))
+        return self._start
 
     def predict(self, t: int) -> np.ndarray:
         """Run the K FW steps for round t; stores the sub-iterates."""
@@ -111,12 +118,12 @@ class DelmfwState:
         self._predicted = t
         K = self.params.K
         subs = np.empty((K, self.cset.dim))
+        vs = self.bank.query()
         x = self.x_init()
         for k in range(1, K + 1):
             subs[k - 1] = x
-            v = self.oracles[k - 1].query()
             eta = self.params.eta(k)
-            x = (1.0 - eta) * x + eta * v
+            x = (1.0 - eta) * x + eta * vs[k - 1]
         self.history[t] = subs
         self._x_prev = x
         return x
@@ -133,11 +140,9 @@ class DelmfwState:
                 raise ValueError(f"origin {s} has no stored sub-iterates (double release?)")
             if s > t:
                 raise ValueError(f"release of round {s} before it was played (t={t})")
-        losses = [f for _, f in released]
-        subs = [self.history[s] for s, _ in released]
-        for k in range(self.params.K):
-            g = sum_gradients(losses, [sub[k] for sub in subs])
-            self.oracles[k].feedback(g)
+        # row k of the sum is oracle k+1's surrogate gradient
+        self.bank.feedback(sum_gradients([f for _, f in released],
+                                         [self.history[s] for s, _ in released]))
         for s, _ in released:
             del self.history[s]
 
@@ -167,8 +172,8 @@ def delmfw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
         "seed": seed,
         "T": T,
         "K": params.K,
-        "A": repr(params.A),
-        "zeta": repr(params.zeta),
+        "A": repr(float(params.A)),
+        "zeta": repr(float(params.zeta)),
         "B": schedule.B,
         "B_est": repr(params.B_est),
         "dmax": schedule.dmax,

@@ -68,19 +68,20 @@ class ConstraintSet:
         corner for the hypercube.
         """
         g = _as_vector(g, self.dim, "g")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite entries in g")
         return self.lmo_batch(g[None, :])[0]
 
     def lmo_batch(self, z: np.ndarray) -> np.ndarray:
         """Vectorized ``lmo`` over the rows of a 2-D array.
 
-        Used by the Monte-Carlo estimator of expected oracle outputs, where
-        per-row Python calls would dominate the runtime.
+        Row r of the result is bitwise equal to ``lmo(z[r])``.  Oracle banks
+        answer all their queries of a round with one call, and the
+        Monte-Carlo estimator of expected oracle outputs samples through it.
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {z.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("non-finite entries in LMO input")
         n = z.shape[0]
         r = self.radius
         rows = np.arange(n)

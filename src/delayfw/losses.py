@@ -5,6 +5,10 @@ n_agents=1 case).  Algorithms only ever see single per-agent losses; the
 network-average loss F_t and horizon sums needed for regret are computed
 here from cached aggregates, post hoc.
 
+``value`` and ``grad`` take one point of shape (m,) or a stack (..., m) of
+points; every row of a stacked result is bitwise equal to the call on that
+row alone, so callers batch freely without changing a trace.
+
 Softmax decisions are vectors of length p*C read as C stacked class blocks
 of length p; the score of class c on feature a is <x_c, a>.  Labels are
 zero-based everywhere.
@@ -33,13 +37,15 @@ class QuadraticLoss:
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.theta.shape:
-            raise ValueError(f"x has shape {x.shape}, expected {self.theta.shape}")
+        if x.shape[-1:] != self.theta.shape:
+            raise ValueError(f"x has shape {x.shape}, expected (..., {self.dim})")
         return x
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """f(x): a float for one point, an array of shape x.shape[:-1] for a stack."""
         x = self._check(x)
-        return 0.5 * float(np.sum((x - self.theta) ** 2))
+        v = 0.5 * np.sum((x - self.theta) ** 2, axis=-1)
+        return float(v) if x.ndim == 1 else v
 
     def grad(self, x) -> np.ndarray:
         return self._check(x) - self.theta
@@ -74,24 +80,28 @@ class SoftmaxLoss:
 
     def _logits(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x has shape {x.shape}, expected ({self.dim},)")
-        return self.features @ x.reshape(self.n_classes, self.p).T  # (batch, C)
+        if x.ndim < 1 or x.shape[-1] != self.dim:
+            raise ValueError(f"x has shape {x.shape}, expected (..., {self.dim})")
+        blocks = x.reshape(x.shape[:-1] + (self.n_classes, self.p))
+        return self.features @ np.swapaxes(blocks, -1, -2)  # (..., batch, C)
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """f(x): a float for one point, an array of shape x.shape[:-1] for a stack."""
         z = self._logits(x)
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        picked = z[np.arange(z.shape[0]), self.labels]
-        return float(np.sum(lse - picked))
+        zmax = z.max(axis=-1, keepdims=True)
+        lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+        picked = z[..., np.arange(z.shape[-2]), self.labels]
+        v = np.sum(lse - picked, axis=-1)
+        return float(v) if z.ndim == 2 else v
 
     def grad(self, x) -> np.ndarray:
         z = self._logits(x)
-        z -= z.max(axis=1, keepdims=True)
+        z -= z.max(axis=-1, keepdims=True)
         probs = np.exp(z)
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[np.arange(z.shape[0]), self.labels] -= 1.0
-        return (probs.T @ self.features).ravel()  # (C, p) flattened
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[..., np.arange(z.shape[-2]), self.labels] -= 1.0
+        g = np.swapaxes(probs, -1, -2) @ self.features  # (..., C, p)
+        return g.reshape(g.shape[:-2] + (self.dim,))
 
 
 class LossStream:
@@ -126,8 +136,8 @@ class LossStream:
         """Loss f^i_t for zero-based agent i, 1-based round t."""
         return self._per_agent[agent][t - 1]
 
-    def average_value(self, x, t: int) -> float:
-        """Network-average loss F_t(x) = (1/n) sum_i f^i_t(x)."""
+    def average_value(self, x, t: int):
+        """Network-average loss F_t(x) = (1/n) sum_i f^i_t(x), row by row for a stack."""
         return sum(self.loss(i, t).value(x) for i in range(self.n_agents)) / self.n_agents
 
     # -- horizon aggregates (comparator / regret) ---------------------------

@@ -158,12 +158,14 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
 
 
 def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.ndarray:
-    """(T, n) matrix of F_t(x^i_t) for distributed decisions (T, n, m)."""
+    """(T, n) matrix of F_t(x^i_t) for distributed decisions (T, n, m).
+
+    One stacked F_t evaluation per round: T*n loss-value calls in all.
+    """
     T, n = decisions.shape[0], decisions.shape[1]
     out = np.empty((T, n))
     for t in range(1, T + 1):
-        for i in range(n):
-            out[t - 1, i] = stream.average_value(decisions[t - 1, i], t)
+        out[t - 1] = stream.average_value(decisions[t - 1], t)
     return out
 
 

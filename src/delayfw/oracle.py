@@ -1,13 +1,16 @@
 """Follow-the-perturbed-leader oracles for online linear optimization.
 
-Each oracle answers linear-loss prediction queries by running the constraint
-set's LMO on the perturbed accumulated feedback::
+:class:`FtplOracle` is a bank of N independent oracles held as arrays.  Row
+r answers linear-loss prediction queries by running the constraint set's
+LMO on its perturbed accumulated feedback::
 
-    v = argmin_v  zeta * <sum of feedback, v> + <noise, v>
+    v_r = argmin_v  zeta * <sum of feedback to row r, v> + <noise_r, v>
 
-with ``noise`` drawn once from Uniform[0,1]^m at construction.  Fixing the
-perturbation keeps every run deterministic; claims about the *expected*
-prediction over the noise distribution are checked through
+with ``noise_r`` drawn once from Uniform[0,1]^m at construction.  A
+prediction depends on history only through that sum, so the N queries of a
+bank are one batched LMO call.  A single oracle is a bank with N = 1.
+Fixing the perturbation keeps every run deterministic; claims about the
+*expected* prediction over the noise distribution are checked through
 :func:`ftpl_query_expected`.
 
 The learning rate ``zeta`` is always supplied by the caller — the algorithm
@@ -24,40 +27,58 @@ _MC_CHUNK = 16384
 
 
 class FtplOracle:
-    """One follow-the-perturbed-leader instance over a constraint set.
+    """N independent follow-the-perturbed-leader oracles over one constraint set.
 
-    Stores only the running sum of feedback vectors: predictions depend on
-    history through that sum alone, so memory stays O(m) regardless of the
-    number of rounds.
+    Stores only each row's running sum of feedback vectors: predictions
+    depend on history through that sum alone, so memory stays O(N m)
+    regardless of the number of rounds.
 
     Args:
         cset: feasible set supplying the LMO.
-        zeta: positive learning rate.
-        seed: integer seed or numpy Generator for the one-time noise draw.
+        zeta: positive learning rate shared by every row.
+        seed: integer seed or numpy Generator for one oracle's one-time
+            noise draw, or a list of them, one per row of the bank.
+
+    Attributes:
+        noise: (N, m) perturbations, row r drawn from the r-th seed.
+        accum: (N, m) running feedback sums.
+        feedback_count: (N,) number of feedback vectors each row absorbed.
     """
 
     def __init__(self, cset: ConstraintSet, zeta: float, seed):
         if not (np.isfinite(zeta) and zeta > 0):
             raise ValueError(f"zeta must be positive, got {zeta}")
+        seeds = seed if isinstance(seed, (list, tuple)) else [seed]
+        if not seeds:
+            raise ValueError("an oracle bank needs at least one row")
         self.cset = cset
         self.zeta = float(zeta)
-        self.noise = np.random.default_rng(seed).uniform(size=cset.dim)
-        self.accum = np.zeros(cset.dim)
-        self.feedback_count = 0
+        self.noise = np.array([np.random.default_rng(s).uniform(size=cset.dim) for s in seeds])
+        self.accum = np.zeros_like(self.noise)
+        self.feedback_count = np.zeros(len(seeds), dtype=np.int64)
 
     def query(self) -> np.ndarray:
-        """Current prediction; pure, identical between feedback calls."""
-        return self.cset.lmo(self.zeta * self.accum + self.noise)
+        """(N, m) current predictions; pure, identical between feedback calls."""
+        return self.cset.lmo_batch(self.zeta * self.accum + self.noise)
 
-    def feedback(self, g) -> None:
-        """Absorb one linear-loss gradient into the running sum."""
+    def feedback(self, g, rows=None) -> None:
+        """Absorb one linear-loss gradient per row into the running sums.
+
+        g is (N, m), or (len(rows), m) when ``rows`` selects the rows that
+        receive feedback; the other rows are left untouched.
+        """
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.cset.dim,):
-            raise ValueError(f"feedback has shape {g.shape}, expected ({self.cset.dim},)")
+        want = (len(self.noise) if rows is None else len(rows), self.cset.dim)
+        if g.shape != want:
+            raise ValueError(f"feedback has shape {g.shape}, expected {want}")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite entries in feedback")
-        self.accum = self.accum + g
-        self.feedback_count += 1
+        if rows is None:
+            self.accum = self.accum + g
+            self.feedback_count += 1
+        else:
+            self.accum[rows] = self.accum[rows] + g
+            self.feedback_count[rows] += 1
 
 
 def ftpl_query_expected(cset: ConstraintSet, zeta: float, accum, samples: int, seed) -> np.ndarray:

@@ -389,7 +389,8 @@ def run_single(cfg: ExperimentConfig, run_seed: int):
     comparator = compute_comparator(stream, cset)
     attach_regret(trace, comparator, stream)
     trace.metadata.update({
-        "G": repr(g), "beta": repr(beta), "D": repr(d),
+        # numpy scalars repr as np.float64(...), which ties the bytes to numpy's version
+        "G": repr(float(g)), "beta": repr(float(beta)), "D": repr(float(d)),
         "comparator_gap": repr(comparator.gap),
         "comparator_iterations": comparator.iterations,
         "config_sha256": cfg.sha256(),

@@ -115,10 +115,11 @@ def test_symmetry_on_complete_graph():
     params = params_for(K=3, T=5)
     gossip = metropolis_weights(topology("complete", 4))
     run = NetworkRun(L1, gossip, params, seed=0)
+    noise = run.bank.noise.reshape(4, 3, 3)  # (agent, k, m) view of the bank rows
     for k in range(3):
-        shared = run.oracles[0][k].noise
+        shared = noise[0, k]
         for i in range(1, 4):
-            run.oracles[i][k].noise = shared.copy()
+            noise[i, k] = shared.copy()
     theta = np.array([0.4, -0.1, 0.2])
     for t in range(1, 6):
         X = run.predict_round(t)
@@ -210,15 +211,16 @@ def test_all_empty_round_is_zero_feedback():
     gossip = metropolis_weights(topology("cycle", 3))
     run = NetworkRun(L1, gossip, params, seed=2)
     run.predict_round(1)
-    before = [[o.accum.copy() for o in agent] for agent in run.oracles]
-    q_before = [[o.query() for o in agent] for agent in run.oracles]
+    before = run.bank.accum.copy()
+    q_before = run.bank.query()
     run.absorb_round(1, [[], [], []])
+    q_after = run.bank.query()
     for i in range(3):
         for k in range(2):
-            o = run.oracles[i][k]
-            np.testing.assert_array_equal(o.accum, before[i][k])
-            assert o.feedback_count == 1  # zero vector was fed
-            np.testing.assert_array_equal(o.query(), q_before[i][k])
+            r = i * 2 + k  # bank row of agent i's oracle k+1
+            np.testing.assert_array_equal(run.bank.accum[r], before[r])
+            assert run.bank.feedback_count[r] == 1  # zero vector was fed
+            np.testing.assert_array_equal(q_after[r], q_before[r])
 
 
 def test_strict_mode_skips_empty_agents():
@@ -227,9 +229,10 @@ def test_strict_mode_skips_empty_agents():
     run = NetworkRun(L1, gossip, params, seed=2, feed_empty=False)
     run.predict_round(1)
     run.absorb_round(1, [[(1, QuadraticLoss(np.array([0.5, 0.0, 0.0])))], [], []])
-    assert all(o.feedback_count == 1 for o in run.oracles[0])
-    assert all(o.feedback_count == 0 for o in run.oracles[1])
-    assert all(o.feedback_count == 0 for o in run.oracles[2])
+    counts = run.bank.feedback_count.reshape(3, 2)  # (agent, k)
+    assert all(c == 1 for c in counts[0])
+    assert all(c == 0 for c in counts[1])
+    assert all(c == 0 for c in counts[2])
 
 
 def test_neighbor_information_flows_to_empty_agents():
@@ -239,8 +242,9 @@ def test_neighbor_information_flows_to_empty_agents():
     run = NetworkRun(L1, gossip, params, seed=2)
     run.predict_round(1)
     run.absorb_round(1, [[(1, QuadraticLoss(np.array([5.0, 0.0, 0.0])))], [], []])
-    assert np.linalg.norm(run.oracles[1][0].accum) > 0.0
-    assert np.linalg.norm(run.oracles[2][0].accum) > 0.0
+    # K = 1: bank row i is agent i's only oracle
+    assert np.linalg.norm(run.bank.accum[1]) > 0.0
+    assert np.linalg.norm(run.bank.accum[2]) > 0.0
 
 
 # -- bookkeeping --------------------------------------------------------------------

@@ -57,22 +57,21 @@ def params_for(K, zeta=1.0, A=3.0, T=10):
 
 def test_predict_k1_plays_oracle_output():
     state = DelmfwState(L1, params_for(K=1), seed=0)
-    want = state.oracles[0].query()
+    want = state.bank.query()[0]
     np.testing.assert_array_equal(state.predict(1), want)
 
 
 def test_predict_identical_oracles_returns_common_vertex():
     state = DelmfwState(L1, params_for(K=4), seed=0)
-    for o in state.oracles:
-        o.noise = np.array([0.3, 0.6])
+    state.bank.noise[:] = np.array([0.3, 0.6])
     np.testing.assert_array_equal(state.predict(1), [0.0, -1.0])
 
 
 def test_predict_k2_hand_unroll():
     # A=3 makes eta_1 = eta_2 = 1: x_{t,2} = v_1, x_t = v_2
     state = DelmfwState(L1, params_for(K=2), seed=5)
-    state.oracles[0].noise = np.array([0.2, 0.5])
-    state.oracles[1].noise = np.array([0.9, 0.1])
+    state.bank.noise[0] = np.array([0.2, 0.5])
+    state.bank.noise[1] = np.array([0.9, 0.1])
     x = state.predict(1)
     np.testing.assert_array_equal(x, [-1.0, 0.0])  # lmo of second noise
     np.testing.assert_array_equal(state.history[1][0], [1.0, 0.0])  # x_{1,1} = start vertex
@@ -83,7 +82,7 @@ def test_predict_fractional_eta_hand_unroll():
     # A=3, K=5: eta_4 = 3/4, eta_5 = 3/5; replay the recursion by hand
     state = DelmfwState(L1, params_for(K=5), seed=7)
     x = state.predict(1)
-    vs = [o.query() for o in state.oracles]
+    vs = state.bank.query()
     want = vs[2]  # after three eta=1 steps
     want = 0.25 * want + 0.75 * vs[3]
     want = 0.4 * want + 0.6 * vs[4]
@@ -125,10 +124,10 @@ def test_x_init_policies():
 def test_absorb_empty_is_noop():
     state = DelmfwState(L1, params_for(K=3), seed=2)
     state.predict(1)
-    before = [o.accum.copy() for o in state.oracles]
+    before = state.bank.accum.copy()
     state.absorb(1, [])
-    for o, b in zip(state.oracles, before):
-        np.testing.assert_array_equal(o.accum, b)
+    for k in range(3):
+        np.testing.assert_array_equal(state.bank.accum[k], before[k])
     assert 1 in state.history
 
 
@@ -139,7 +138,7 @@ def test_absorb_single_quadratic():
     subs = state.history[1].copy()
     state.absorb(1, [(1, QuadraticLoss(theta))])
     for k in range(2):
-        np.testing.assert_array_equal(state.oracles[k].accum, subs[k] - theta)
+        np.testing.assert_array_equal(state.bank.accum[k], subs[k] - theta)
     assert state.history == {}
 
 
@@ -152,7 +151,7 @@ def test_absorb_sums_release_set():
     state.absorb(5, [(2, losses[2]), (5, losses[5])])
     for k in range(3):
         want = losses[2].grad(subs[2][k]) + losses[5].grad(subs[5][k])
-        np.testing.assert_array_equal(state.oracles[k].accum, want)
+        np.testing.assert_array_equal(state.bank.accum[k], want)
 
 
 def test_absorb_unknown_or_double_release():
@@ -233,14 +232,14 @@ def test_delayed_feedback_reaches_oracles_late():
     for t in range(1, 5):
         state.predict(t)
         if t < 3:
-            buf_grads[t] = [o.accum.copy() for o in state.oracles]
+            buf_grads[t] = state.bank.accum.copy()
         state.buffer.push(t, schedule.delay(t))
         rel = state.buffer.release(t)
         state.absorb(t, [(s, stream.loss(0, s)) for s in rel])
     np.testing.assert_array_equal(buf_grads[1][0], np.zeros(2))
     np.testing.assert_array_equal(buf_grads[2][0], np.zeros(2))  # round 1 still pending
     # releases: F_2={2}, F_3={1,3} (one summed feedback), F_4={4}
-    assert state.oracles[0].feedback_count == 3
+    assert state.bank.feedback_count[0] == 3
 
 
 def test_run_input_validation():

@@ -1,4 +1,8 @@
-"""FTPL oracle tests: determinism, query algebra, expectation-level bounds."""
+"""FTPL oracle tests: determinism, query algebra, expectation-level bounds.
+
+A single oracle is an FtplOracle bank with one row: ``query()`` returns a
+(1, m) array and ``feedback`` takes a (1, m) array.
+"""
 
 import numpy as np
 import pytest
@@ -11,14 +15,14 @@ L1 = ConstraintSet("l1_ball", 1.0, 2)
 
 def make_oracle(noise, cset=L1, zeta=1.0):
     o = FtplOracle(cset, zeta, seed=0)
-    o.noise = np.asarray(noise, dtype=np.float64)
+    o.noise = np.asarray([noise], dtype=np.float64)
     return o
 
 
 def test_new_oracle_state():
     o = FtplOracle(ConstraintSet("l1_ball", 1.0, 2), 0.5, seed=7)
-    np.testing.assert_array_equal(o.accum, [0.0, 0.0])
-    assert o.feedback_count == 0
+    np.testing.assert_array_equal(o.accum, [[0.0, 0.0]])
+    assert o.feedback_count.tolist() == [0]
     assert np.all((o.noise >= 0.0) & (o.noise <= 1.0))
 
 
@@ -31,12 +35,11 @@ def test_equal_seed_equal_noise():
 
 
 def test_noise_is_uniform_mean_check():
-    # 1e5 independently seeded constructions; per-coordinate mean of a
+    # 1e5 independently seeded rows; per-coordinate mean of a
     # Uniform[0,1] sample of this size lies in [0.49, 0.51] (11 sigma).
-    total = np.zeros(2)
-    for s in range(100_000):
-        total += FtplOracle(L1, 1.0, seed=s).noise
-    mean = total / 100_000
+    bank = FtplOracle(L1, 1.0, seed=list(range(100_000)))
+    assert bank.noise.shape == (100_000, 2)
+    mean = bank.noise.sum(axis=0) / 100_000
     assert np.all(mean >= 0.49) and np.all(mean <= 0.51)
 
 
@@ -49,13 +52,13 @@ def test_zeta_validation():
 
 def test_query_empty_history_is_lmo_of_noise():
     o = make_oracle([0.2, 0.5])
-    np.testing.assert_array_equal(o.query(), [0.0, -1.0])
+    np.testing.assert_array_equal(o.query(), [[0.0, -1.0]])
 
 
 def test_query_after_feedback():
     o = make_oracle([0.2, 0.5])
-    o.feedback([10.0, 0.0])
-    np.testing.assert_array_equal(o.query(), [-1.0, 0.0])
+    o.feedback([[10.0, 0.0]])
+    np.testing.assert_array_equal(o.query(), [[-1.0, 0.0]])
 
 
 def test_query_matches_lmo_of_perturbed_sum():
@@ -64,36 +67,36 @@ def test_query_matches_lmo_of_perturbed_sum():
     for trial in range(500):
         o = FtplOracle(cset, 0.3, seed=trial)
         for _ in range(int(rng.integers(0, 6))):
-            o.feedback(rng.normal(size=4))
-        np.testing.assert_array_equal(o.query(), cset.lmo(0.3 * o.accum + o.noise))
+            o.feedback(rng.normal(size=(1, 4)))
+        np.testing.assert_array_equal(o.query()[0], cset.lmo(0.3 * o.accum[0] + o.noise[0]))
 
 
 def test_query_pure_between_feedbacks():
     o = FtplOracle(L1, 1.0, seed=3)
-    o.feedback([0.4, -0.2])
+    o.feedback([[0.4, -0.2]])
     q1 = o.query()
     q2 = o.query()
     np.testing.assert_array_equal(q1, q2)
-    np.testing.assert_array_equal(o.accum, [0.4, -0.2])
+    np.testing.assert_array_equal(o.accum, [[0.4, -0.2]])
 
 
 def test_feedback_accumulates():
     o = make_oracle([0.0, 0.0])
-    o.feedback([1.0, 1.0])
-    o.feedback([2.0, -1.0])
-    np.testing.assert_array_equal(o.accum, [3.0, 0.0])
-    assert o.feedback_count == 2
+    o.feedback([[1.0, 1.0]])
+    o.feedback([[2.0, -1.0]])
+    np.testing.assert_array_equal(o.accum, [[3.0, 0.0]])
+    assert o.feedback_count.tolist() == [2]
 
 
 def test_zero_feedback_leaves_query_unchanged():
     o = FtplOracle(L1, 1.0, seed=11)
     before = o.query()
-    o.feedback([0.0, 0.0])
+    o.feedback([[0.0, 0.0]])
     np.testing.assert_array_equal(o.query(), before)
 
 
 def test_feedback_order_independent():
-    a, b = np.array([0.3, -0.7]), np.array([1.1, 0.2])
+    a, b = np.array([[0.3, -0.7]]), np.array([[1.1, 0.2]])
     o1, o2 = make_oracle([0.0, 0.0]), make_oracle([0.0, 0.0])
     o1.feedback(a)
     o1.feedback(b)
@@ -105,13 +108,39 @@ def test_feedback_order_independent():
 def test_feedback_validation():
     o = FtplOracle(L1, 1.0, seed=0)
     with pytest.raises(ValueError):
-        o.feedback([1.0])
+        o.feedback([[1.0]])
     with pytest.raises(ValueError):
-        o.feedback([np.inf, 0.0])
+        o.feedback([1.0, 0.0])  # one row must still be (1, m)
+    with pytest.raises(ValueError):
+        o.feedback([[np.inf, 0.0]])
+
+
+def test_bank_rows_are_independent_oracles():
+    bank = FtplOracle(L1, 0.5, seed=[3, 4, 5])
+    for r, s in enumerate([3, 4, 5]):
+        np.testing.assert_array_equal(bank.noise[r], FtplOracle(L1, 0.5, seed=s).noise[0])
+    bank.feedback([[1.0, -2.0], [0.5, 0.5]], rows=[0, 2])
+    np.testing.assert_array_equal(bank.accum, [[1.0, -2.0], [0.0, 0.0], [0.5, 0.5]])
+    assert bank.feedback_count.tolist() == [1, 0, 1]
+    bank.feedback(np.ones((3, 2)))
+    assert bank.feedback_count.tolist() == [2, 1, 2]
+    np.testing.assert_array_equal(bank.query()[1], L1.lmo(0.5 * np.ones(2) + bank.noise[1]))
+
+
+def test_bank_validation():
+    with pytest.raises(ValueError):
+        FtplOracle(L1, 0.5, seed=[])
+    bank = FtplOracle(L1, 0.5, seed=[1, 2])
+    with pytest.raises(ValueError):
+        bank.feedback(np.ones((1, 2)))  # two rows, one gradient
+    with pytest.raises(ValueError):
+        bank.feedback(np.ones((2, 2)), rows=[1])
+    bank.feedback(np.zeros((0, 2)), rows=[])  # no releasing rows is a no-op
+    assert bank.feedback_count.tolist() == [0, 0]
 
 
 def test_determinism_bitwise():
-    seq = [np.array([0.1, -0.4]), np.array([-2.0, 0.3]), np.array([0.0, 1.0])]
+    seq = [np.array([[0.1, -0.4]]), np.array([[-2.0, 0.3]]), np.array([[0.0, 1.0]])]
     runs = []
     for _ in range(2):
         o = FtplOracle(L1, 0.7, seed=99)
