@@ -8,9 +8,8 @@ streams, network topologies, and trace/metric utilities.
 __version__ = "0.1.0"
 
 from .baselines import dgd_run, dofw_run
-from .de2mfw import de2mfw_run, distributed_params
+from .de2mfw import AlgoParams, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from .delay import DelaySchedule, gen_delays
-from .delmfw import AlgoParams, centralized_params, delmfw_run
 from .geometry import ConstraintSet
 from .losses import LossStream, synth_quadratic_stream, synth_stream
 from .metrics import RunTrace, attach_regret, compute_comparator

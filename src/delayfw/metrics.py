@@ -88,18 +88,21 @@ class RunTrace:
         return out.getvalue()
 
     def write_csv(self, path) -> None:
-        """Write atomically: temp file in the target directory, then rename."""
-        path = os.fspath(path)
-        text = self.csv_text()
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.csv_text())
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text atomically: temp file in the target directory, then rename."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_trace_csv(path) -> tuple:

@@ -170,6 +170,10 @@ def metropolis_weights(topo: Topology) -> GossipMatrix:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(tau[i], tau[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     lam2, lam_abs = lambda2(w)
+    # Every diagonal entry is >= 1/(1 + tau_i), so trace(W) >= 1 and the
+    # other eigenvalues average >= 0: lambda2 >= 0 exactly, and a negative
+    # value (the all-1/n complete-graph matrix) is eigvalsh roundoff.
+    lam2 = max(lam2, 0.0)
     return GossipMatrix(w, tau, lam2, lam_abs, 1.0 - lam2, k0_of(lam2))
 
 

@@ -7,9 +7,8 @@ Everything here is pinned: exact thetas, schedules, params, and seeds.
 import numpy as np
 
 from delayfw.baselines import dofw_run
-from delayfw.de2mfw import de2mfw_run
+from delayfw.de2mfw import AlgoParams, de2mfw_run, delmfw_run
 from delayfw.delay import DelaySchedule
-from delayfw.delmfw import AlgoParams, delmfw_run
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss
 from delayfw.metrics import attach_regret, compute_comparator

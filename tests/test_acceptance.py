@@ -16,9 +16,8 @@ from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw
 from _reference import meta_fw_run
 from delayfw import runner, seeding
 from delayfw.baselines import dofw_run
-from delayfw.de2mfw import de2mfw_run, distributed_params
+from delayfw.de2mfw import AlgoParams, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from delayfw.delay import DelaySchedule, gen_delays
-from delayfw.delmfw import AlgoParams, centralized_params, delmfw_run
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import synth_quadratic_stream, synth_stream
 from delayfw.metrics import attach_regret, compute_comparator

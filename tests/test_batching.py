@@ -1,6 +1,6 @@
 """Batched evaluation: stacked losses, oracle banks and per-round call counts.
 
-The engines answer a round's oracle queries with one LMO call and evaluate
+The engine answers a round's oracle queries with one LMO call and evaluates
 losses on stacks of points.  That is only sound because every batched
 result is bitwise equal to the row-by-row computation; these properties
 check it, and the counting tests keep the batching from quietly regressing.
@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayfw import seeding
-from delayfw.de2mfw import NetworkRun, de2mfw_run, distributed_params
+from delayfw import de2mfw, seeding
+from delayfw.de2mfw import NetworkRun, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from delayfw.delay import gen_delays
-from delayfw.delmfw import DelmfwState, centralized_params, delmfw_run
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, SoftmaxLoss, estimate_constants, synth_quadratic_stream, \
     synth_stream
@@ -92,7 +91,7 @@ def test_bank_noise_rows_follow_oracle_streams(n, K, dim, seed):
         for k in range(1, K + 1):
             want = seeding.oracle_rng(seed, i, k).uniform(size=dim)
             np.testing.assert_array_equal(run.bank.noise[i * K + k - 1], want)
-    central = DelmfwState(cset, params, seed)
+    central = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed)
     np.testing.assert_array_equal(central.bank.noise, run.bank.noise[:K])
 
 
@@ -185,6 +184,22 @@ def test_de2mfw_one_lmo_call_per_round(monkeypatch):
     assert query.calls == T
     assert lmo.calls == T + 1  # plus the start vertex, computed once per run
     assert grad.calls == sum(released_by_end(s, T) for s in schedules)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_diagnostics_cost_consensus_calls_only_when_on(monkeypatch, diagnostics):
+    n, T, K = 4, 12, 5
+    cset = ConstraintSet("l1_ball", 1.0, 3)
+    topo = topology("grid", n)
+    stream = synth_quadratic_stream(seed=5, T=T, dim=3, n_agents=n)
+    schedules = [gen_delays(T, 3, seed=20 + i) for i in range(n)]
+    params = distributed_params(T, 1.0, 1.0, 2.0, 8.0, a_dist=3.0, K=K)
+    consensus = Counter(monkeypatch, de2mfw, "consensus_error")
+    trace = de2mfw_run(cset, stream, schedules, topo, params, seed=0, diagnostics=diagnostics)
+    # one consensus and one tracking error per step and round, or none at all
+    assert consensus.calls == (2 * K * T if diagnostics else 0)
+    assert (trace.consensus is not None) == diagnostics
+    assert (trace.tracking is not None) == diagnostics
 
 
 @pytest.mark.parametrize("loss", ["quadratic", "softmax"])

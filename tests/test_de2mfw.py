@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayfw.de2mfw import NetworkRun, de2mfw_run, distributed_params
-from delayfw.delay import DelaySchedule, gen_delays
-from delayfw.delmfw import AlgoParams, DelmfwState, delmfw_run
+from _reference import meta_fw_run
+from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
+                            distributed_params, run_rounds)
+from delayfw.delay import gen_delays
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream
 from delayfw.network import metropolis_weights, topology
@@ -19,8 +22,7 @@ def params_for(K, T=10, zeta=0.5, A=3.0):
     return AlgoParams(T=T, K=K, A=A, zeta=zeta, B_est=1.0)
 
 
-def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None, feed_empty=True,
-                  record_details=False):
+def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None, record_details=False):
     cset = ConstraintSet("l1_ball", 1.0, dim)
     topo = topology(kind, n, seed=seed)
     gossip = metropolis_weights(topo)
@@ -30,21 +32,13 @@ def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None, feed_empty=True
     b_est = float(np.mean([s.B for s in schedules]))
     params = distributed_params(T, G, beta, cset.diameter(), b_est, a_dist=3.0,
                                 K=K or math.ceil(math.sqrt(T)))
-    run = NetworkRun(cset, gossip, params, seed, feed_empty=feed_empty,
-                     record_details=record_details)
+    run = NetworkRun(cset, gossip, params, seed, record_details=record_details)
     return cset, topo, gossip, stream, schedules, params, run
 
 
 def drive(run, stream, schedules, T):
-    decisions = []
-    for t in range(1, T + 1):
-        decisions.append(run.predict_round(t))
-        released = []
-        for i in range(run.n):
-            run.buffers[i].push(t, schedules[i].delay(t))
-            released.append([(s, stream.loss(i, s)) for s in run.buffers[i].release(t)])
-        run.absorb_round(t, released)
-    return np.array(decisions)
+    assert T == run.params.T
+    return run_rounds(run, stream, schedules)
 
 
 def test_distributed_params():
@@ -58,15 +52,19 @@ def test_distributed_params():
 # -- n = 1 reduction -----------------------------------------------------------
 
 
-def test_single_agent_predict_matches_centralized():
-    params = params_for(K=4)
-    gossip = metropolis_weights(topology("complete", 1))
-    net = NetworkRun(L1, gossip, params, seed=3)
-    cen = DelmfwState(L1, params, seed=3)
-    for t in range(1, 6):
-        np.testing.assert_array_equal(net.predict_round(t)[0], cen.predict(t))
-        net.absorb_round(t, [[]])
-        cen.absorb(t, [])
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 40), K=st.integers(1, 8), dim=st.integers(1, 5),
+       zeta=st.floats(0.05, 5.0), data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_single_agent_run_matches_delayed_reference(T, K, dim, zeta, data, seed):
+    dmax = data.draw(st.integers(1, T))
+    cset = ConstraintSet("l1_ball", 1.0, dim)
+    stream = synth_quadratic_stream(seed=seed + 1, T=T, dim=dim, scale=0.7)
+    schedule = gen_delays(T, dmax, seed=seed + 2)
+    params = AlgoParams(T=T, K=K, A=3.0, zeta=zeta, B_est=float(schedule.B))
+    trace = delmfw_run(cset, stream, schedule, params, seed=seed)
+    ref_dec, ref_inst = meta_fw_run(cset, stream, params, seed, schedule)
+    assert np.array_equal(trace.decisions, ref_dec)
+    assert np.array_equal(trace.inst_loss, ref_inst)
 
 
 def test_single_agent_run_bitwise_equals_centralized():
@@ -223,20 +221,8 @@ def test_all_empty_round_is_zero_feedback():
             np.testing.assert_array_equal(q_after[r], q_before[r])
 
 
-def test_strict_mode_skips_empty_agents():
-    params = params_for(K=2, T=4)
-    gossip = metropolis_weights(topology("cycle", 3))
-    run = NetworkRun(L1, gossip, params, seed=2, feed_empty=False)
-    run.predict_round(1)
-    run.absorb_round(1, [[(1, QuadraticLoss(np.array([0.5, 0.0, 0.0])))], [], []])
-    counts = run.bank.feedback_count.reshape(3, 2)  # (agent, k)
-    assert all(c == 1 for c in counts[0])
-    assert all(c == 0 for c in counts[1])
-    assert all(c == 0 for c in counts[2])
-
-
 def test_neighbor_information_flows_to_empty_agents():
-    # default mode: agent 1's oracles move even though only agent 0 released
+    # agent 1's oracles move even though only agent 0 released
     params = params_for(K=1, T=4)
     gossip = metropolis_weights(topology("cycle", 3))
     run = NetworkRun(L1, gossip, params, seed=2)

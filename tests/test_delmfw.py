@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from delayfw.de2mfw import AlgoParams, NetworkRun, centralized_params, delmfw_run
 from delayfw.delay import DelaySchedule, gen_delays
-from delayfw.delmfw import AlgoParams, DelmfwState, centralized_params, delmfw_run
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, estimate_constants, synth_quadratic_stream
+from delayfw.network import metropolis_weights, topology
 
 from _reference import meta_fw_run
 
@@ -55,33 +56,38 @@ def params_for(K, zeta=1.0, A=3.0, T=10):
     return AlgoParams(T=T, K=K, A=A, zeta=zeta, B_est=1.0)
 
 
+def central_run(cset, params, seed):
+    """The engine on the one-node graph, as delmfw_run drives it."""
+    return NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed)
+
+
 def test_predict_k1_plays_oracle_output():
-    state = DelmfwState(L1, params_for(K=1), seed=0)
+    state = central_run(L1, params_for(K=1), seed=0)
     want = state.bank.query()[0]
-    np.testing.assert_array_equal(state.predict(1), want)
+    np.testing.assert_array_equal(state.predict_round(1)[0], want)
 
 
 def test_predict_identical_oracles_returns_common_vertex():
-    state = DelmfwState(L1, params_for(K=4), seed=0)
+    state = central_run(L1, params_for(K=4), seed=0)
     state.bank.noise[:] = np.array([0.3, 0.6])
-    np.testing.assert_array_equal(state.predict(1), [0.0, -1.0])
+    np.testing.assert_array_equal(state.predict_round(1)[0], [0.0, -1.0])
 
 
 def test_predict_k2_hand_unroll():
     # A=3 makes eta_1 = eta_2 = 1: x_{t,2} = v_1, x_t = v_2
-    state = DelmfwState(L1, params_for(K=2), seed=5)
+    state = central_run(L1, params_for(K=2), seed=5)
     state.bank.noise[0] = np.array([0.2, 0.5])
     state.bank.noise[1] = np.array([0.9, 0.1])
-    x = state.predict(1)
+    x = state.predict_round(1)[0]
     np.testing.assert_array_equal(x, [-1.0, 0.0])  # lmo of second noise
-    np.testing.assert_array_equal(state.history[1][0], [1.0, 0.0])  # x_{1,1} = start vertex
-    np.testing.assert_array_equal(state.history[1][1], [0.0, -1.0])  # x_{1,2} = v_1
+    np.testing.assert_array_equal(state.history[1][0, 0], [1.0, 0.0])  # x_{1,1} = start vertex
+    np.testing.assert_array_equal(state.history[1][0, 1], [0.0, -1.0])  # x_{1,2} = v_1
 
 
 def test_predict_fractional_eta_hand_unroll():
     # A=3, K=5: eta_4 = 3/4, eta_5 = 3/5; replay the recursion by hand
-    state = DelmfwState(L1, params_for(K=5), seed=7)
-    x = state.predict(1)
+    state = central_run(L1, params_for(K=5), seed=7)
+    x = state.predict_round(1)[0]
     vs = state.bank.query()
     want = vs[2]  # after three eta=1 steps
     want = 0.25 * want + 0.75 * vs[3]
@@ -90,78 +96,68 @@ def test_predict_fractional_eta_hand_unroll():
 
 
 def test_predict_order_enforced():
-    state = DelmfwState(L1, params_for(K=1), seed=0)
-    state.predict(1)
+    state = central_run(L1, params_for(K=1), seed=0)
+    state.predict_round(1)
     with pytest.raises(ValueError):
-        state.predict(1)
+        state.predict_round(1)
     with pytest.raises(ValueError):
-        state.predict(3)
+        state.predict_round(3)
 
 
 def test_predict_feasible_and_stores_history():
     cset = ConstraintSet("simplex", 2.0, 4)
-    state = DelmfwState(cset, params_for(K=6), seed=3)
+    state = central_run(cset, params_for(K=6), seed=3)
     for t in range(1, 6):
-        x = state.predict(t)
+        x = state.predict_round(t)[0]
         assert cset.contains(x, tol=1e-9)
-        assert state.history[t].shape == (6, 4)
-        assert all(cset.contains(s, tol=1e-9) for s in state.history[t])
-
-
-def test_x_init_policies():
-    state = DelmfwState(L1, params_for(K=2), seed=1, x_init_policy="previous")
-    x1 = state.predict(1)
-    np.testing.assert_array_equal(state.x_init(), x1)
-    state.predict(2)
-    np.testing.assert_array_equal(state.history[2][0], x1)
-    with pytest.raises(ValueError):
-        DelmfwState(L1, params_for(K=1), seed=0, x_init_policy="restart")
+        assert state.history[t].shape == (1, 7, 4)  # x_{t,1..K+1} of the one agent
+        assert all(cset.contains(s, tol=1e-9) for s in state.history[t][0])
 
 
 # -- absorb ---------------------------------------------------------------------
 
 
 def test_absorb_empty_is_noop():
-    state = DelmfwState(L1, params_for(K=3), seed=2)
-    state.predict(1)
+    state = central_run(L1, params_for(K=3), seed=2)
+    state.predict_round(1)
     before = state.bank.accum.copy()
-    state.absorb(1, [])
+    state.absorb_round(1, [[]])
     for k in range(3):
         np.testing.assert_array_equal(state.bank.accum[k], before[k])
     assert 1 in state.history
 
 
 def test_absorb_single_quadratic():
-    state = DelmfwState(L1, params_for(K=2), seed=4)
-    state.predict(1)
+    state = central_run(L1, params_for(K=2), seed=4)
+    state.predict_round(1)
     theta = np.array([0.25, -0.5])
-    subs = state.history[1].copy()
-    state.absorb(1, [(1, QuadraticLoss(theta))])
+    subs = state.history[1][0].copy()
+    state.absorb_round(1, [[(1, QuadraticLoss(theta))]])
     for k in range(2):
         np.testing.assert_array_equal(state.bank.accum[k], subs[k] - theta)
     assert state.history == {}
 
 
 def test_absorb_sums_release_set():
-    state = DelmfwState(L1, params_for(K=3), seed=6)
+    state = central_run(L1, params_for(K=3), seed=6)
     losses = {t: QuadraticLoss(np.array([0.1 * t, -0.2 * t])) for t in range(1, 6)}
     for t in range(1, 6):
-        state.predict(t)
-    subs = {t: state.history[t].copy() for t in (2, 5)}
-    state.absorb(5, [(2, losses[2]), (5, losses[5])])
+        state.predict_round(t)
+    subs = {t: state.history[t][0].copy() for t in (2, 5)}
+    state.absorb_round(5, [[(2, losses[2]), (5, losses[5])]])
     for k in range(3):
         want = losses[2].grad(subs[2][k]) + losses[5].grad(subs[5][k])
         np.testing.assert_array_equal(state.bank.accum[k], want)
 
 
 def test_absorb_unknown_or_double_release():
-    state = DelmfwState(L1, params_for(K=1), seed=0)
-    state.predict(1)
-    state.absorb(1, [(1, QuadraticLoss(np.zeros(2)))])
+    state = central_run(L1, params_for(K=1), seed=0)
+    state.predict_round(1)
+    state.absorb_round(1, [[(1, QuadraticLoss(np.zeros(2)))]])
     with pytest.raises(ValueError):
-        state.absorb(2, [(1, QuadraticLoss(np.zeros(2)))])
+        state.absorb_round(2, [[(1, QuadraticLoss(np.zeros(2)))]])
     with pytest.raises(ValueError):
-        state.absorb(2, [(3, QuadraticLoss(np.zeros(2)))])
+        state.absorb_round(2, [[(3, QuadraticLoss(np.zeros(2)))]])
 
 
 # -- full runs -------------------------------------------------------------------
@@ -182,13 +178,6 @@ def test_run_no_delay_matches_reference_bitwise():
     ref_dec, ref_inst = meta_fw_run(cset, stream, params, seed=0)
     assert np.array_equal(trace.decisions, ref_dec)
     assert np.array_equal(trace.inst_loss, ref_inst)
-
-
-def test_run_no_delay_matches_reference_previous_policy():
-    cset, stream, schedule, params = run_setup(T=25, dmax=1, seed=3)
-    trace = delmfw_run(cset, stream, schedule, params, seed=3, x_init_policy="previous")
-    ref_dec, _ = meta_fw_run(cset, stream, params, seed=3, x_init_policy="previous")
-    assert np.array_equal(trace.decisions, ref_dec)
 
 
 def test_run_deterministic():
@@ -212,12 +201,12 @@ def test_run_feasibility_and_metadata():
 
 def test_history_size_tracks_outstanding_count():
     cset, stream, schedule, params = run_setup(T=40, dmax=7, seed=9)
-    state = DelmfwState(cset, params, seed=9)
+    state = central_run(cset, params, seed=9)
     for t in range(1, 41):
-        state.predict(t)
-        state.buffer.push(t, schedule.delay(t))
-        released = state.buffer.release(t)
-        state.absorb(t, [(s, stream.loss(0, s)) for s in released])
+        state.predict_round(t)
+        state.buffers[0].push(t, schedule.delay(t))
+        released = state.buffers[0].release(t)
+        state.absorb_round(t, [[(s, stream.loss(0, s)) for s in released]])
         assert len(state.history) == schedule.outstanding_count(t)
 
 
@@ -227,15 +216,15 @@ def test_delayed_feedback_reaches_oracles_late():
     stream = quad_stream([np.array([0.5, 0.0])] * 4)
     schedule = DelaySchedule(np.array([3, 1, 1, 1]), dmax=3)
     params = params_for(K=2, zeta=0.5, T=4)
-    state = DelmfwState(cset, params, seed=0)
+    state = central_run(cset, params, seed=0)
     buf_grads = {}
     for t in range(1, 5):
-        state.predict(t)
+        state.predict_round(t)
         if t < 3:
             buf_grads[t] = state.bank.accum.copy()
-        state.buffer.push(t, schedule.delay(t))
-        rel = state.buffer.release(t)
-        state.absorb(t, [(s, stream.loss(0, s)) for s in rel])
+        state.buffers[0].push(t, schedule.delay(t))
+        rel = state.buffers[0].release(t)
+        state.absorb_round(t, [[(s, stream.loss(0, s)) for s in rel]])
     np.testing.assert_array_equal(buf_grads[1][0], np.zeros(2))
     np.testing.assert_array_equal(buf_grads[2][0], np.zeros(2))  # round 1 still pending
     # releases: F_2={2}, F_3={1,3} (one summed feedback), F_4={4}

@@ -75,6 +75,18 @@ def test_k0_matches_direct_scan():
         assert k == 1 or lam > ((k - 1) / k) ** 2
 
 
+@pytest.mark.parametrize("kind", ["complete", "cycle", "grid"])
+def test_metropolis_weights_small_graphs(kind):
+    # lambda2 >= 0 exactly; the all-1/n complete-graph matrix has lambda2 = 0,
+    # which eigvalsh returns as about -4e-17 for n = 5 and n = 11
+    for n in range(1, 17):
+        g = metropolis_weights(topology(kind, n))
+        assert 0.0 <= g.lambda2 < 1.0
+        assert g.k0 == k0_of(g.lambda2)
+        if kind == "complete":
+            assert g.k0 == 1
+
+
 @pytest.mark.parametrize("kind", ["complete", "cycle", "grid", "erdos_renyi"])
 @pytest.mark.parametrize("n", [4, 9, 16, 30, 64])
 def test_doubly_stochastic_all_topologies(kind, n):
