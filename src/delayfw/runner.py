@@ -1,32 +1,16 @@
 """Experiment configs, orchestration, sweeps, and the runtime selftest suite.
 
-A config is a single JSON object (UTF-8).  Top-level keys:
+A config is a single JSON object (UTF-8).  `CONFIG_KEYS` lists every key,
+section by section, with its type, default and value rule; unknown keys
+anywhere are rejected.  `config_from_dict` adds the rules that tie keys
+together: mode and topology, loss kind and set/batch keys, dmax or
+schedule, delayed_agent_count, and zeta_mode and zeta.  The README's config
+table says what each key means.
 
-    mode          "centralized" | "distributed" | "baseline_dofw" | "baseline_dgd"
-    T             horizon (int >= 1)
-    set           {"kind", "radius", "dim"} or, for softmax losses,
-                  {"kind", "radius", "p", "C"} (then dim = p*C)
-    loss          {"kind": "quadratic"|"softmax_xent", "data": "synthetic"|<csv path>,
-                   "batch": int (softmax), "seed": int offset, default 0}
-    delay         {"dmax": int >= 1} or {"schedule": <csv path or list of paths>};
-                  plus "seed" (offset, default 0) and, distributed only,
-                  "delayed_agent_count": f agents get uniform {1..dmax} delays,
-                  the rest get d = 1 (omitted: every agent is delayed)
-    topology      distributed only: {"kind", "n", "p" (erdos, default 0.3),
-                   "seed" (default 0)}
-    constants     {"G"|"beta"|"D": "auto" or a positive number}, default auto
-    zeta_mode     "true_B" (default; uses the realized delay mass),
-                  "dmax_bound" (uses T*dmax), or "explicit" (requires "zeta")
-    zeta          positive number, only with zeta_mode = "explicit"
-    K_override    optional int >= 1
-    diagnostics   bool, default true (consensus/tracking columns, distributed)
-    seeds         nonempty list of non-negative ints
-    output        optional default output directory
-
-Unknown keys anywhere are rejected.  Every run is deterministic in
-(config, seed); wall-clock times in summary.csv are the one exception and
-are excluded from that contract.  Feedback scheduled to land after round T
-is silently never delivered; reported B counts scheduled delay.
+Every run is deterministic in (config, seed); wall-clock times in
+summary.csv are the one exception and are excluded from that contract.
+Feedback scheduled to land after round T is silently never delivered;
+reported B counts scheduled delay.
 
 Per-seed randomness is derived from the run seed through the fixed stream
 constants, with the config's loss/delay seed fields acting as sub-keys, so
@@ -64,6 +48,7 @@ from .network import TOPOLOGY_KINDS, algorithm_constants, metropolis_weights, to
 
 MODES = ("centralized", "distributed", "baseline_dofw", "baseline_dgd")
 ZETA_MODES = ("true_B", "dmax_bound", "explicit")
+LOSS_KINDS = ("quadratic", "softmax_xent")
 SWEEP_KEYS = ("dmax", "topology", "f")
 OUT_ENV = "DELAYFW_OUT"
 
@@ -74,33 +59,92 @@ class ConfigError(ValueError):
 
 # -- config parsing ----------------------------------------------------------------
 
+# A rule is (a test on a value of its key's type, what the test asks for).
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0 and math.isfinite(v), "positive and finite")
+REQUIRED = object()  # the default of a key that must be given
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
+# section -> key -> (type, default, rule).  A dict-typed key is read with the
+# section of its own name.  Ints exclude booleans; floats accept ints.
+CONFIG_KEYS = {
+    "config": {
+        "mode": (str, REQUIRED, (lambda v: v in MODES, f"one of {MODES}")),
+        "T": (int, REQUIRED, _AT_LEAST_1),
+        "set": (dict, REQUIRED, None),
+        "loss": (dict, REQUIRED, None),
+        "delay": (dict, REQUIRED, None),
+        "topology": (dict, None, None),
+        "constants": (dict, {}, None),
+        "zeta_mode": (str, "true_B", (lambda v: v in ZETA_MODES, f"one of {ZETA_MODES}")),
+        "zeta": (float, None, _POSITIVE),
+        "K_override": (int, None, _AT_LEAST_1),
+        "diagnostics": (bool, True, None),
+        "seeds": (list, REQUIRED, (lambda v: v and all(type(s) is int and s >= 0 for s in v),
+                                   "a nonempty list of non-negative ints")),
+        "output": (str, None, None),
+    },
+    "set": {
+        "kind": (str, REQUIRED, (lambda v: v in KINDS, f"one of {KINDS}")),
+        "radius": (float, REQUIRED, _POSITIVE),
+        "dim": (int, None, _AT_LEAST_1),
+        "p": (int, None, _AT_LEAST_1),
+        "C": (int, None, (lambda v: v >= 2, ">= 2")),
+    },
+    "loss": {
+        "kind": (str, REQUIRED, (lambda v: v in LOSS_KINDS, f"one of {LOSS_KINDS}")),
+        "data": (str, "synthetic", None),
+        "batch": (int, None, _AT_LEAST_1),
+        "seed": (int, 0, _AT_LEAST_0),
+    },
+    "delay": {
+        "dmax": (int, None, _AT_LEAST_1),
+        "schedule": ((str, list), None, (
+            lambda v: isinstance(v, str) or v and all(isinstance(p, str) for p in v),
+            "a path or a nonempty list of paths")),
+        "seed": (int, 0, _AT_LEAST_0),
+        "delayed_agent_count": (int, None, _AT_LEAST_0),
+    },
+    "topology": {
+        "kind": (str, REQUIRED, (lambda v: v in TOPOLOGY_KINDS, f"one of {TOPOLOGY_KINDS}")),
+        "n": (int, REQUIRED, _AT_LEAST_1),
+        "p": (float, 0.3, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+        "seed": (int, 0, _AT_LEAST_0),
+    },
+    "constants": {key: ((float, str), "auto", (
+        lambda v: v == "auto" or not isinstance(v, str) and v > 0 and math.isfinite(v),
+        "'auto' or a positive finite number")) for key in ("G", "beta", "D")},
+}
+
+
+def _checked(val, kind, rule, name: str):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if float in kinds and type(val) is int:
+        val = float(val)
+    if not isinstance(val, kinds) or isinstance(val, bool) and bool not in kinds:
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"{name}: expected {expected}, got {type(val).__name__}")
+    if rule is not None and not rule[0](val):
+        raise ConfigError(f"{name}: must be {rule[1]}, got {val!r}")
+    return val
+
+
+def _read(obj: dict, section: str) -> dict:
+    """The keys of `section` in obj, checked against CONFIG_KEYS, defaults filled in."""
+    table = CONFIG_KEYS[section]
+    unknown = sorted(set(obj) - set(table))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def _get(obj: dict, key: str, kinds, where: str, required=True, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
-    val = obj[key]
-    if kinds is int and isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}: expected an integer, got a boolean")
-    if kinds is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if not isinstance(val, kinds):
-        raise ConfigError(f"{where}.{key}: expected {kinds}, got {type(val).__name__}")
-    return val
-
-
-def _positive_int(obj, key, where, required=True, default=None, minimum=1):
-    val = _get(obj, key, int, where, required, default)
-    if val is not None and val < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {val}")
-    return val
+        raise ConfigError(f"{section}: unknown keys {unknown}")
+    out = {}
+    for key, (kind, default, rule) in table.items():
+        if key in obj:
+            val = _checked(obj[key], kind, rule, f"{section}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{section}: missing required key '{key}'")
+        else:
+            val = default
+        out[key] = _read(val, key) if kind is dict and val is not None else val
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,160 +189,87 @@ class ExperimentConfig:
 def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(obj).__name__}")
-    _check_keys(obj, ("mode", "T", "set", "loss", "delay", "topology", "constants",
-                      "zeta_mode", "zeta", "K_override", "diagnostics", "seeds",
-                      "output"), "config")
-    mode = _get(obj, "mode", str, "config")
-    if mode not in MODES:
-        raise ConfigError(f"config.mode: must be one of {MODES}, got '{mode}'")
-    T = _positive_int(obj, "T", "config")
+    c = _read(obj, "config")
+    mode, cset, loss, delay = c["mode"], c["set"], c["loss"], c["delay"]
 
-    loss = _get(obj, "loss", dict, "config")
-    _check_keys(loss, ("kind", "data", "batch", "seed"), "loss")
-    loss_kind = _get(loss, "kind", str, "loss")
-    if loss_kind not in ("quadratic", "softmax_xent"):
-        raise ConfigError(
-            f"loss.kind: must be 'quadratic' or 'softmax_xent', got '{loss_kind}'")
-    loss_data = _get(loss, "data", str, "loss", required=False, default="synthetic")
-    loss_seed = _positive_int(loss, "seed", "loss", required=False, default=0, minimum=0)
-    if loss_kind == "quadratic":
-        if "batch" in loss:
+    if loss["kind"] == "quadratic":
+        if loss["batch"] is not None:
             raise ConfigError("loss.batch: only meaningful for softmax losses")
-        if loss_data != "synthetic":
+        if loss["data"] != "synthetic":
             raise ConfigError("loss.data: quadratic streams are synthetic only")
-        batch = 1
-    else:
-        batch = _positive_int(loss, "batch", "loss", required=False, default=1)
-
-    cset_obj = _get(obj, "set", dict, "config")
-    _check_keys(cset_obj, ("kind", "radius", "dim", "p", "C"), "set")
-    set_kind = _get(cset_obj, "kind", str, "set")
-    if set_kind not in KINDS:
-        raise ConfigError(f"set.kind: must be one of {KINDS}, got '{set_kind}'")
-    radius = _get(cset_obj, "radius", float, "set")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ConfigError(f"set.radius: must be positive and finite, got {radius}")
-    if loss_kind == "quadratic":
-        if "p" in cset_obj or "C" in cset_obj:
+        if cset["p"] is not None or cset["C"] is not None:
             raise ConfigError("set.p/set.C: only meaningful for softmax losses")
-        dim = _positive_int(cset_obj, "dim", "set")
-        p_features, n_classes = None, None
+        if cset["dim"] is None:
+            raise ConfigError("set: missing required key 'dim'")
+        dim = cset["dim"]
     else:
-        p_features = _positive_int(cset_obj, "p", "set")
-        n_classes = _positive_int(cset_obj, "C", "set", minimum=2)
-        dim = _positive_int(cset_obj, "dim", "set", required=False,
-                            default=p_features * n_classes)
-        if dim != p_features * n_classes:
-            raise ConfigError(f"set.dim: must equal p*C = {p_features * n_classes}, got {dim}")
+        for key in ("p", "C"):
+            if cset[key] is None:
+                raise ConfigError(f"set: missing required key '{key}'")
+        dim = cset["p"] * cset["C"]
+        if cset["dim"] not in (None, dim):
+            raise ConfigError(f"set.dim: must equal p*C = {dim}, got {cset['dim']}")
 
-    topo_obj = _get(obj, "topology", dict, "config", required=mode == "distributed")
-    if mode != "distributed":
-        if topo_obj is not None:
-            raise ConfigError("topology: only meaningful in distributed mode")
-        topo_kind, n_agents, topo_p, topo_seed = None, 1, 0.3, 0
-    else:
-        _check_keys(topo_obj, ("kind", "n", "p", "seed"), "topology")
-        topo_kind = _get(topo_obj, "kind", str, "topology")
-        if topo_kind not in TOPOLOGY_KINDS:
-            raise ConfigError(
-                f"topology.kind: must be one of {TOPOLOGY_KINDS}, got '{topo_kind}'")
-        n_agents = _positive_int(topo_obj, "n", "topology")
-        topo_p = _get(topo_obj, "p", float, "topology", required=False, default=0.3)
-        if not (0.0 < topo_p <= 1.0):
-            raise ConfigError(f"topology.p: must be in (0, 1], got {topo_p}")
-        topo_seed = _positive_int(topo_obj, "seed", "topology", required=False,
-                                  default=0, minimum=0)
+    if (mode == "distributed") != (c["topology"] is not None):
+        raise ConfigError("topology: required in distributed mode and only meaningful there")
+    topo = c["topology"] or {"kind": None, "n": 1, "p": 0.3, "seed": 0}
+    n_agents = topo["n"]
 
-    delay = _get(obj, "delay", dict, "config")
-    _check_keys(delay, ("dmax", "schedule", "seed", "delayed_agent_count"), "delay")
-    has_dmax, has_sched = "dmax" in delay, "schedule" in delay
-    if has_dmax == has_sched:
+    if (delay["dmax"] is None) == (delay["schedule"] is None):
         raise ConfigError("delay: exactly one of 'dmax' and 'schedule' is required")
-    delay_dmax = _positive_int(delay, "dmax", "delay", required=False)
-    delay_seed = _positive_int(delay, "seed", "delay", required=False, default=0, minimum=0)
-    delay_schedule = None
-    if has_sched:
-        sched = delay["schedule"]
-        if isinstance(sched, str):
-            delay_schedule = (sched,)
-        elif isinstance(sched, list) and sched and all(isinstance(s, str) for s in sched):
-            delay_schedule = tuple(sched)
-        else:
-            raise ConfigError("delay.schedule: must be a path or a nonempty list of paths")
-        if len(delay_schedule) not in (1, n_agents):
+    schedule = delay["schedule"]
+    if schedule is not None:
+        schedule = (schedule,) if isinstance(schedule, str) else tuple(schedule)
+        if len(schedule) not in (1, n_agents):
             raise ConfigError(
-                f"delay.schedule: need 1 or {n_agents} paths, got {len(delay_schedule)}")
-    f = _positive_int(delay, "delayed_agent_count", "delay", required=False, minimum=0)
+                f"delay.schedule: need 1 or {n_agents} paths, got {len(schedule)}")
+    f = delay["delayed_agent_count"]
     if f is not None:
         if mode != "distributed":
             raise ConfigError("delay.delayed_agent_count: only meaningful in distributed mode")
-        if not has_dmax:
+        if delay["dmax"] is None:
             raise ConfigError("delay.delayed_agent_count: requires delay.dmax")
         if f > n_agents:
             raise ConfigError(
                 f"delay.delayed_agent_count: must be <= n = {n_agents}, got {f}")
 
-    consts = _get(obj, "constants", dict, "config", required=False, default={})
-    _check_keys(consts, ("G", "beta", "D"), "constants")
-
-    def const_value(key):
-        if key not in consts or consts[key] == "auto":
-            return None
-        val = consts[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
-            raise ConfigError(f"constants.{key}: must be 'auto' or a positive number")
-        return float(val)
-
-    g_const, beta_const, d_const = const_value("G"), const_value("beta"), const_value("D")
-
-    algorithmic = mode in ("centralized", "distributed")
-    zeta_mode = _get(obj, "zeta_mode", str, "config", required=False, default="true_B")
-    if zeta_mode not in ZETA_MODES:
-        raise ConfigError(f"config.zeta_mode: must be one of {ZETA_MODES}, got '{zeta_mode}'")
-    if not algorithmic and ("zeta_mode" in obj or "zeta" in obj or "K_override" in obj):
+    if mode not in ("centralized", "distributed") and (
+            "zeta_mode" in obj or "zeta" in obj or "K_override" in obj):
         raise ConfigError("zeta_mode/zeta/K_override: only meaningful for "
                           "centralized or distributed mode")
-    zeta_explicit = None
-    if zeta_mode == "explicit":
-        zeta_explicit = _get(obj, "zeta", float, "config")
-        if not (zeta_explicit > 0 and math.isfinite(zeta_explicit)):
-            raise ConfigError(f"config.zeta: must be positive and finite, got {zeta_explicit}")
-    elif "zeta" in obj:
-        raise ConfigError("config.zeta: only meaningful with zeta_mode = 'explicit'")
-    k_override = _positive_int(obj, "K_override", "config", required=False)
+    if (c["zeta_mode"] == "explicit") != (c["zeta"] is not None):
+        raise ConfigError("config.zeta: required with zeta_mode = 'explicit' and only "
+                          "meaningful there")
 
-    diagnostics = _get(obj, "diagnostics", bool, "config", required=False, default=True)
-
-    seeds = _get(obj, "seeds", list, "config")
-    if not seeds:
-        raise ConfigError("config.seeds: must be a nonempty list")
-    for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise ConfigError(f"config.seeds: entries must be non-negative ints, got {s!r}")
-    output = _get(obj, "output", str, "config", required=False)
-
+    consts = {k: None if v == "auto" else v for k, v in c["constants"].items()}
     return ExperimentConfig(
-        mode=mode, T=T, set_kind=set_kind, radius=radius, dim=dim,
-        p_features=p_features, n_classes=n_classes, loss_kind=loss_kind,
-        loss_data=loss_data, batch=batch, loss_seed=loss_seed,
-        delay_dmax=delay_dmax, delay_schedule=delay_schedule, delay_seed=delay_seed,
-        delayed_agent_count=f, topo_kind=topo_kind, n_agents=n_agents,
-        topo_p=topo_p, topo_seed=topo_seed, g_const=g_const, beta_const=beta_const,
-        d_const=d_const, zeta_mode=zeta_mode, zeta_explicit=zeta_explicit,
-        k_override=k_override, diagnostics=diagnostics, seeds=tuple(seeds),
-        output=output, raw=obj,
+        mode=mode, T=c["T"], set_kind=cset["kind"], radius=cset["radius"], dim=dim,
+        p_features=cset["p"], n_classes=cset["C"], loss_kind=loss["kind"],
+        loss_data=loss["data"], batch=loss["batch"] or 1, loss_seed=loss["seed"],
+        delay_dmax=delay["dmax"], delay_schedule=schedule, delay_seed=delay["seed"],
+        delayed_agent_count=f, topo_kind=topo["kind"], n_agents=n_agents,
+        topo_p=topo["p"], topo_seed=topo["seed"], g_const=consts["G"],
+        beta_const=consts["beta"], d_const=consts["D"], zeta_mode=c["zeta_mode"],
+        zeta_explicit=c["zeta"], k_override=c["K_override"],
+        diagnostics=c["diagnostics"], seeds=tuple(c["seeds"]), output=c["output"],
+        # a private copy, so the caller's later edits cannot move sha256()
+        raw=json.loads(json.dumps(obj)),
     )
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config: {e}") from None
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
+        obj = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
     return config_from_dict(obj)
 
@@ -430,109 +401,80 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 # -- sweeps -------------------------------------------------------------------------
 
 
-def _override(cfg: ExperimentConfig, section: str, key: str, value) -> ExperimentConfig:
+def _override(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     raw = json.loads(json.dumps(cfg.raw))
-    if section is None:
-        raw[key] = value
-    else:
+    for section, key, value in overrides:
         raw.setdefault(section, {})[key] = value
     return config_from_dict(raw)
 
 
 def run_sweep(cfg: ExperimentConfig, vary: str, values, out_dir=None) -> dict:
-    """Iterate one config knob; write per-value runs plus a sweep summary.
+    """Run each cell of a grid over one config knob; write its runs and a summary.
 
-    vary = "dmax":     values are ints; one run_experiment per value.
+    vary = "dmax":     values are ints; one cell per value.
     vary = "topology": values are topology kinds (distributed configs).
     vary = "f":        values are delayed-agent counts, crossed with all four
-                       topology kinds into a matrix summary (rows f, columns
-                       topology, cells "loss" or "loss (+pct%)" vs the f=0 row).
+                       topology kinds.
+    A cell is a list of (section, key, value) overrides of cfg.  Every cell's
+    config is validated before the first run.  Each cell runs into its own
+    directory; runs.csv holds one row per (cell, seed): the varied values,
+    then seed, total_loss, final_regret.  The summary is sweep_summary.csv
+    (per-cell means) or, for "f", matrix.csv (rows f, columns topology,
+    cells "loss" or "loss (+pct%)" vs the f=0 row).
     """
     if vary not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {SWEEP_KEYS}, got '{vary}'")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if vary == "dmax":
+        grid = [(f"dmax{v}", [("delay", "dmax", v)]) for v in values]
+    elif vary == "topology":
+        grid = [(f"topology_{v}", [("topology", "kind", v)]) for v in values]
+    else:
+        grid = [(f"{kind}_f{v}", [("topology", "kind", kind), ("delay", "delayed_agent_count", v)])
+                for kind in TOPOLOGY_KINDS for v in values]
+    cells = []  # (directory, results key, runs.csv label, config)
+    for name, over in grid:
+        cell = tuple(v for _, _, v in over)
+        cells.append((name, cell if len(cell) > 1 else cell[0], ",".join(map(str, cell)),
+                      _override(cfg, over)))
     out = resolve_out_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
 
-    if vary in ("dmax", "f") and cfg.delay_dmax is None:
-        raise ConfigError(f"sweep over {vary} requires a delay.dmax config")
-    if vary in ("topology", "f") and cfg.mode != "distributed":
-        raise ConfigError(f"sweep over {vary} requires distributed mode")
-
-    if vary == "dmax":
-        values = _int_values(values, minimum=1)
-        lines = ["dmax,mean_total_loss,mean_final_regret"]
-        results = {}
-        for v in values:
-            sub = _override(cfg, "delay", "dmax", v)
-            res = run_experiment(sub, os.path.join(out, f"dmax{v}"))
-            results[v] = res
-            lines.append(f"{v},{_mean(res, 1):.9g},{_mean(res, 2):.9g}")
-        summary = os.path.join(out, "sweep_summary.csv")
-        _write_atomic(summary, "\n".join(lines) + "\n")
-        return {"out_dir": out, "summary": summary, "results": results}
-
-    if vary == "topology":
-        for v in values:
-            if v not in TOPOLOGY_KINDS:
-                raise ConfigError(f"unknown topology '{v}' in sweep values")
-        lines = ["topology,mean_total_loss,mean_final_regret"]
-        results = {}
-        for v in values:
-            sub = _override(cfg, "topology", "kind", v)
-            res = run_experiment(sub, os.path.join(out, f"topology_{v}"))
-            results[v] = res
-            lines.append(f"{v},{_mean(res, 1):.9g},{_mean(res, 2):.9g}")
-        summary = os.path.join(out, "sweep_summary.csv")
-        _write_atomic(summary, "\n".join(lines) + "\n")
-        return {"out_dir": out, "summary": summary, "results": results}
-
-    # vary == "f": cross with all four topologies (matrix layout)
-    values = _int_values(values, minimum=0)
-    long_lines = ["topology,f,seed,total_loss,final_regret"]
-    mean_loss = {}
     results = {}
-    for kind in TOPOLOGY_KINDS:
-        for v in values:
-            sub = _override(cfg, "topology", "kind", kind)
-            sub = _override(sub, "delay", "delayed_agent_count", v)
-            res = run_experiment(sub, os.path.join(out, f"{kind}_f{v}"))
-            results[(kind, v)] = res
-            for s, tl, fr, _ in res["rows"]:
-                long_lines.append(f"{kind},{v},{s},{tl:.9g},{fr:.9g}")
-            mean_loss[(kind, v)] = _mean(res, 1)
-    runs_path = os.path.join(out, "runs.csv")
-    _write_atomic(runs_path, "\n".join(long_lines) + "\n")
-    base_f = 0 if 0 in values else values[0]
-    matrix_lines = ["f," + ",".join(TOPOLOGY_KINDS)]
-    for v in values:
-        cells = [str(v)]
-        for kind in TOPOLOGY_KINDS:
-            loss = mean_loss[(kind, v)]
-            if v == base_f:
-                cells.append(f"{loss:.9g}")
-            else:
-                pct = 100.0 * (loss - mean_loss[(kind, base_f)]) / mean_loss[(kind, base_f)]
-                cells.append(f"{loss:.9g} ({pct:+.1f}%)")
-        matrix_lines.append(",".join(f'"{c}"' if "," in c else c for c in cells))
-    matrix_path = os.path.join(out, "matrix.csv")
-    _write_atomic(matrix_path, "\n".join(matrix_lines) + "\n")
-    return {"out_dir": out, "summary": matrix_path, "runs": runs_path,
+    for name, key, _, sub in cells:
+        results[key] = run_experiment(sub, os.path.join(out, name))
+    lines = [("topology,f" if vary == "f" else vary) + ",seed,total_loss,final_regret"]
+    lines += [f"{label},{s},{tl:.9g},{fr:.9g}"
+              for _, key, label, _ in cells for s, tl, fr, _ in results[key]["rows"]]
+    runs = os.path.join(out, "runs.csv")
+    _write_atomic(runs, "\n".join(lines) + "\n")
+
+    mean_loss = {key: float(np.mean([r[1] for r in res["rows"]])) for key, res in results.items()}
+    if vary == "f":
+        summary, lines = os.path.join(out, "matrix.csv"), _f_matrix(values, mean_loss)
+    else:
+        summary = os.path.join(out, "sweep_summary.csv")
+        lines = [f"{vary},mean_total_loss,mean_final_regret"]
+        for _, key, label, _ in cells:
+            regret = np.mean([r[2] for r in results[key]["rows"]])
+            lines.append(f"{label},{mean_loss[key]:.9g},{regret:.9g}")
+    _write_atomic(summary, "\n".join(lines) + "\n")
+    return {"out_dir": out, "summary": summary, "runs": runs,
             "results": results, "mean_loss": mean_loss}
 
 
-def _int_values(values, minimum: int):
-    out = []
+def _f_matrix(values, mean_loss: dict) -> list:
+    base_f = 0 if 0 in values else values[0]
+    lines = ["f," + ",".join(TOPOLOGY_KINDS)]
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-            raise ConfigError(f"sweep values must be ints >= {minimum}, got {v!r}")
-        out.append(v)
-    return out
-
-
-def _mean(res: dict, col: int) -> float:
-    return float(np.mean([row[col] for row in res["rows"]]))
+        row = [str(v)]
+        for kind in TOPOLOGY_KINDS:
+            loss, base = mean_loss[(kind, v)], mean_loss[(kind, base_f)]
+            pct = "" if v == base_f else f" ({100.0 * (loss - base) / base:+.1f}%)"
+            row.append(f"{loss:.9g}{pct}")
+        lines.append(",".join(f'"{c}"' if "," in c else c for c in row))
+    return lines
 
 
 # -- selftest -----------------------------------------------------------------------

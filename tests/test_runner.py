@@ -1,7 +1,11 @@
 """Config validation, orchestration, sweeps, and CLI exit codes."""
 
+import copy
+import glob
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +37,10 @@ def minimal_distributed(**over):
 
 def parse(obj):
     return runner.config_from_dict(obj)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 
 
 # -- parsing -----------------------------------------------------------------------
@@ -132,6 +140,74 @@ def test_constants_validation():
     assert cfg.g_const == 2.5 and cfg.beta_const is None
     with pytest.raises(runner.ConfigError, match="constants.G"):
         parse(minimal_centralized(constants={"G": -1.0}))
+    for bad in (math.inf, math.nan, True, "x", 0):
+        with pytest.raises(runner.ConfigError, match="constants.D"):
+            parse(minimal_centralized(constants={"D": bad}))
+
+
+def test_sha256_ignores_later_edits_to_the_parsed_dict():
+    obj = minimal_centralized()
+    cfg = parse(obj)
+    sha = cfg.sha256()
+    obj["T"] = 99
+    obj["set"]["radius"] = 5.0
+    assert cfg.T == 12 and cfg.sha256() == sha
+    assert sha == parse(minimal_centralized()).sha256()
+
+
+BAD_VALUES = (None, True, -1, 1.5, "x", [], {}, math.inf, math.nan)
+DELETE = object()
+
+
+def key_paths(obj, prefix=()):
+    for key, val in obj.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from key_paths(val, prefix + (key,))
+
+
+def config_bodies() -> dict:
+    bodies = {"minimal_centralized": minimal_centralized(),
+              "minimal_distributed": minimal_distributed()}
+    for path in SHIPPED:
+        with open(path, encoding="utf-8") as fh:
+            bodies[os.path.basename(path)] = json.load(fh)
+    return bodies
+
+
+@pytest.mark.parametrize("name", sorted(config_bodies()))
+def test_malformed_values_raise_config_errors(name):
+    """Replacing or deleting any one key's value parses or raises ConfigError.
+
+    Whatever parses keeps its sha256 across a JSON round trip.
+    """
+    base = config_bodies()[name]
+    for path in key_paths(base):
+        for bad in BAD_VALUES + (DELETE,):
+            obj = copy.deepcopy(base)
+            section = obj
+            for key in path[:-1]:
+                section = section[key]
+            if bad is DELETE:
+                del section[path[-1]]
+            else:
+                section[path[-1]] = copy.deepcopy(bad)
+            try:
+                cfg = parse(obj)
+            except runner.ConfigError:
+                continue
+            assert parse(json.loads(json.dumps(obj))).sha256() == cfg.sha256(), (path, bad)
+
+
+def test_shipped_configs_parse_and_readme_lists_every_key():
+    assert SHIPPED
+    for path in SHIPPED:
+        runner.parse_config(path)
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    table = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(listed) == sorted(runner.CONFIG_KEYS["config"])
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -141,6 +217,10 @@ def test_parse_config_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(runner.ConfigError, match="invalid JSON"):
         runner.parse_config(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"mode": "centr\xe9"}')
+    with pytest.raises(runner.ConfigError, match="cannot read"):
+        runner.parse_config(latin1)
 
 
 # -- schedule assembly --------------------------------------------------------------
@@ -257,13 +337,23 @@ def test_out_dir_resolution(monkeypatch):
 
 
 def test_dmax_sweep(tmp_path):
-    cfg = parse(minimal_centralized(T=8))
+    cfg = parse(minimal_centralized(T=8, seeds=[0, 2]))
     res = runner.run_sweep(cfg, "dmax", [1, 3], str(tmp_path / "sw"))
     lines = open(res["summary"]).read().splitlines()
     assert lines[0] == "dmax,mean_total_loss,mean_final_regret"
     assert len(lines) == 3
     assert os.path.exists(tmp_path / "sw" / "dmax1" / "trace_seed0.csv")
     assert os.path.exists(tmp_path / "sw" / "dmax3" / "trace_seed0.csv")
+    runs = [line.split(",") for line in open(res["runs"]).read().splitlines()]
+    assert runs[0] == ["dmax", "seed", "total_loss", "final_regret"]
+    assert [r[:2] for r in runs[1:]] == [["1", "0"], ["1", "2"], ["3", "0"], ["3", "2"]]
+    assert runs[1:] == [[str(d), str(s), f"{tl:.9g}", f"{fr:.9g}"]
+                        for d in (1, 3) for s, tl, fr, _ in res["results"][d]["rows"]]
+    for line in lines[1:]:
+        dmax, mean_loss, mean_regret = line.split(",")
+        mine = [r for r in runs[1:] if r[0] == dmax]
+        assert float(mean_loss) == pytest.approx(np.mean([float(r[2]) for r in mine]), rel=1e-8)
+        assert float(mean_regret) == pytest.approx(np.mean([float(r[3]) for r in mine]), rel=1e-8)
 
 
 def test_f_sweep_matrix(tmp_path):
@@ -293,6 +383,13 @@ def test_sweep_validation():
         runner.run_sweep(cfg, "dmax", [0])
 
 
+def test_sweep_cells_validated_before_any_run(tmp_path):
+    cfg = parse(minimal_distributed())
+    with pytest.raises(runner.ConfigError, match="<= n"):
+        runner.run_sweep(cfg, "f", [0, 9], str(tmp_path / "fsw"))
+    assert not any(tmp_path.rglob("*_f*"))
+
+
 # -- cli ----------------------------------------------------------------------------
 
 
@@ -318,6 +415,17 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     bad = write_cfg(tmp_path, minimal_centralized(bogus=True), "bad.json")
     assert cli.main(["validate", "--config", bad]) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    for bad in (math.inf, math.nan):
+        path = write_cfg(tmp_path, minimal_centralized(constants={"G": bad}))
+        assert cli.main(["validate", "--config", path]) == 1
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2
+        assert ("Infinity" if bad == math.inf else "NaN") in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_cli_runtime_failure_exit_2(tmp_path, capsys, monkeypatch):
