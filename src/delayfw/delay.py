@@ -53,10 +53,6 @@ class DelaySchedule:
             raise ValueError(f"round {t} outside 1..{self.T}")
         return int(self.d[t - 1])
 
-    def release_round(self, t: int) -> int:
-        """Round at which round t's feedback becomes available."""
-        return t + self.delay(t) - 1
-
     def outstanding_count(self, t: int) -> int:
         """Number of rounds s <= t whose feedback is still unreleased after round t."""
         if not 1 <= t <= self.T:

@@ -1,13 +1,18 @@
 """Online loss streams: quadratic targets and multiclass softmax cross-entropy.
 
-A stream holds one loss per round per agent (centralized runs are the
-n_agents=1 case).  Algorithms only ever see single per-agent losses; the
-network-average loss F_t and horizon sums needed for regret are computed
-here from cached aggregates, post hoc.
+One loss object holds a stack of losses: ``QuadraticLoss`` takes targets
+theta of shape (..., m) and ``SoftmaxLoss`` batches of features (..., b, p)
+with labels (..., b).  Indexing the leading axes with ``[...]`` gives a
+smaller stack, down to a single loss.  A stream is one such stack with
+leading (agent, round) axes (centralized runs are the n_agents=1 case).
+Algorithms only ever see single per-agent losses; the network-average loss
+F_t and horizon sums needed for regret are computed here from the stacked
+arrays, post hoc.
 
 ``value`` and ``grad`` take one point of shape (m,) or a stack (..., m) of
-points; every row of a stacked result is bitwise equal to the call on that
-row alone, so callers batch freely without changing a trace.
+points, broadcast against the loss stack; every entry of a stacked result
+is bitwise equal to the call of that single loss on that single point, so
+callers batch freely without changing a trace.
 
 Softmax decisions are vectors of length p*C read as C stacked class blocks
 of length p; the score of class c on feature a is <x_c, a>.  Labels are
@@ -22,30 +27,29 @@ import numpy as np
 
 
 class QuadraticLoss:
-    """f(x) = 0.5 * ||x - theta||^2."""
+    """f(x) = 0.5 * ||x - theta||^2, one loss per row of theta (..., m)."""
 
     kind = "quadratic"
 
     def __init__(self, theta):
         self.theta = np.asarray(theta, dtype=np.float64)
-        if self.theta.ndim != 1:
-            raise ValueError("theta must be a 1-D vector")
+        if self.theta.ndim < 1:
+            raise ValueError("theta must have shape (..., m)")
+        self.shape, self.dim = self.theta.shape[:-1], self.theta.shape[-1]
 
-    @property
-    def dim(self) -> int:
-        return self.theta.size
+    def __getitem__(self, key) -> QuadraticLoss:
+        return QuadraticLoss(self.theta[key])
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1:] != self.theta.shape:
+        if x.shape[-1:] != (self.dim,):
             raise ValueError(f"x has shape {x.shape}, expected (..., {self.dim})")
         return x
 
     def value(self, x):
-        """f(x): a float for one point, an array of shape x.shape[:-1] for a stack."""
-        x = self._check(x)
-        v = 0.5 * np.sum((x - self.theta) ** 2, axis=-1)
-        return float(v) if x.ndim == 1 else v
+        """f(x): a float when the result is 0-d, else an array of the broadcast shape."""
+        v = 0.5 * ((self._check(x) - self.theta) ** 2).sum(axis=-1)
+        return float(v) if v.ndim == 0 else v
 
     def grad(self, x) -> np.ndarray:
         return self._check(x) - self.theta
@@ -55,6 +59,8 @@ class SoftmaxLoss:
     """Cross-entropy of a linear multiclass model summed over one batch.
 
     f(x) = sum_b [ logsumexp_c <x_c, a_b> - <x_{y_b}, a_b> ]
+
+    features (..., b, p) and labels (..., b) hold one batch per leading index.
     """
 
     kind = "softmax_xent"
@@ -63,20 +69,17 @@ class SoftmaxLoss:
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.n_classes = int(n_classes)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
-            raise ValueError("features must be (batch, p) aligned with labels")
+        if self.features.ndim < 2 or self.features.shape[:-1] != self.labels.shape:
+            raise ValueError("features must be (..., batch, p) aligned with labels (..., batch)")
         if self.labels.size == 0:
             raise ValueError("empty batch")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
+        self.shape, self.p = self.labels.shape[:-1], self.features.shape[-1]
+        self.dim = self.p * self.n_classes
 
-    @property
-    def p(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.p * self.n_classes
+    def __getitem__(self, key) -> SoftmaxLoss:
+        return SoftmaxLoss(self.features[key], self.labels[key], self.n_classes)
 
     def _logits(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -85,77 +88,64 @@ class SoftmaxLoss:
         blocks = x.reshape(x.shape[:-1] + (self.n_classes, self.p))
         return self.features @ np.swapaxes(blocks, -1, -2)  # (..., batch, C)
 
+    def _onehot(self) -> np.ndarray:
+        # picking the label's logit with a boolean mask adds only zeros, so it is exact
+        return self.labels[..., None] == np.arange(self.n_classes)
+
     def value(self, x):
-        """f(x): a float for one point, an array of shape x.shape[:-1] for a stack."""
+        """f(x): a float when the result is 0-d, else an array of the broadcast shape."""
         z = self._logits(x)
         zmax = z.max(axis=-1, keepdims=True)
         lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-        picked = z[..., np.arange(z.shape[-2]), self.labels]
-        v = np.sum(lse - picked, axis=-1)
-        return float(v) if z.ndim == 2 else v
+        picked = np.where(self._onehot(), z, 0.0).sum(axis=-1)
+        v = (lse - picked).sum(axis=-1)
+        return float(v) if v.ndim == 0 else v
 
     def grad(self, x) -> np.ndarray:
         z = self._logits(x)
         z -= z.max(axis=-1, keepdims=True)
         probs = np.exp(z)
         probs /= probs.sum(axis=-1, keepdims=True)
-        probs[..., np.arange(z.shape[-2]), self.labels] -= 1.0
+        probs -= self._onehot()
         g = np.swapaxes(probs, -1, -2) @ self.features  # (..., C, p)
         return g.reshape(g.shape[:-2] + (self.dim,))
 
 
 class LossStream:
-    """T losses for each of n agents, immutable after construction."""
+    """T losses for each of n agents: one loss stack of shape (n, T), immutable."""
 
-    def __init__(self, per_agent):
-        per_agent = tuple(tuple(seq) for seq in per_agent)
-        if not per_agent or not per_agent[0]:
-            raise ValueError("stream must hold at least one loss")
-        T = len(per_agent[0])
-        if any(len(seq) != T for seq in per_agent):
-            raise ValueError("all agents need the same number of rounds")
-        first = per_agent[0][0]
-        for seq in per_agent:
-            for f in seq:
-                if f.kind != first.kind or f.dim != first.dim:
-                    raise ValueError("mixed loss kinds or dimensions in one stream")
-        self._per_agent = per_agent
-        self.kind = first.kind
-        self.dim = first.dim
+    def __init__(self, losses):
+        if len(losses.shape) != 2 or 0 in losses.shape:
+            raise ValueError(f"stream needs an (n_agents, T) loss stack, got shape {losses.shape}")
+        self.losses = losses
+        self.kind = losses.kind
+        self.dim = losses.dim
+        self.n_agents, self.T = losses.shape
         self._agg = None
-
-    @property
-    def n_agents(self) -> int:
-        return len(self._per_agent)
-
-    @property
-    def T(self) -> int:
-        return len(self._per_agent[0])
 
     def loss(self, agent: int, t: int):
         """Loss f^i_t for zero-based agent i, 1-based round t."""
-        return self._per_agent[agent][t - 1]
+        return self.losses[agent, t - 1]
 
     def average_value(self, x, t: int):
         """Network-average loss F_t(x) = (1/n) sum_i f^i_t(x), row by row for a stack."""
-        return sum(self.loss(i, t).value(x) for i in range(self.n_agents)) / self.n_agents
+        x = np.asarray(x, dtype=np.float64)
+        vals = self.losses[:, t - 1].value(x[..., None, :])  # (..., n)
+        # a running sum adds the agents in order; np.sum would sum pairwise
+        v = np.add.accumulate(vals, axis=-1)[..., -1] / self.n_agents
+        return float(v) if v.ndim == 0 else v
 
     # -- horizon aggregates (comparator / regret) ---------------------------
 
     def _aggregate(self):
         if self._agg is None:
-            losses = [f for seq in self._per_agent for f in seq]
             if self.kind == "quadratic":
-                thetas = np.array([f.theta for f in losses])
-                self._agg = (
-                    len(losses),
-                    thetas.sum(axis=0),
-                    float(np.sum(thetas**2)),
-                )
+                thetas = self.losses.theta.reshape(-1, self.dim)
+                self._agg = (len(thetas), thetas.sum(axis=0), float(np.sum(thetas**2)))
             else:
-                feats = np.concatenate([f.features for f in losses])
-                labs = np.concatenate([f.labels for f in losses])
-                self._agg = SoftmaxLoss(feats, labs, losses[0].n_classes)
+                f = self.losses
+                self._agg = SoftmaxLoss(f.features.reshape(-1, f.p), f.labels.reshape(-1),
+                                        f.n_classes)
         return self._agg
 
     def total_value(self, x) -> float:
@@ -181,13 +171,15 @@ def estimate_constants(stream: LossStream, cset) -> tuple:
     quadratic:    G = D/2 + max_t ||theta_t - center||, beta = 1
     softmax_xent: G = sqrt(2) * max_t sum_b ||a_b||, beta = max_t sum_b ||a_b||^2
     """
-    losses = [stream.loss(i, t) for i in range(stream.n_agents) for t in range(1, stream.T + 1)]
+    losses = stream.losses
     if stream.kind == "quadratic":
-        center = cset.centroid()
-        far = max(float(np.linalg.norm(f.theta - center)) for f in losses)
+        d = losses.theta - cset.centroid()
+        # each row's sqrt(ddot), the rounding np.linalg.norm gives one row
+        far = float(np.sqrt(d[..., None, :] @ d[..., :, None]).max())
         return cset.diameter() / 2.0 + far, 1.0
-    G = max(float(np.linalg.norm(f.features, axis=1).sum()) for f in losses) * np.sqrt(2.0)
-    beta = max(float(np.sum(f.features**2)) for f in losses)
+    sq = losses.features**2
+    G = float(np.linalg.norm(losses.features, axis=-1).sum(axis=-1).max()) * np.sqrt(2.0)
+    beta = float(sq.reshape(sq.shape[:-2] + (-1,)).sum(axis=-1).max())
     return G, beta
 
 
@@ -210,10 +202,7 @@ def synth_stream(seed, T: int, p: int, C: int, batch: int, n_agents: int = 1) ->
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     feats = feats.reshape(n_agents, T, batch, p)
     labels = labels.reshape(n_agents, T, batch)
-    per_agent = [
-        [SoftmaxLoss(feats[i, t], labels[i, t], C) for t in range(T)] for i in range(n_agents)
-    ]
-    return LossStream(per_agent)
+    return LossStream(SoftmaxLoss(feats, labels, C))
 
 
 def synth_quadratic_stream(seed, T: int, dim: int, n_agents: int = 1, scale: float = 1.0) -> LossStream:
@@ -222,7 +211,7 @@ def synth_quadratic_stream(seed, T: int, dim: int, n_agents: int = 1, scale: flo
         raise ValueError("T, dim, n_agents must all be >= 1")
     rng = np.random.default_rng(seed)
     thetas = rng.normal(scale=scale, size=(n_agents, T, dim))
-    return LossStream([[QuadraticLoss(thetas[i, t]) for t in range(T)] for i in range(n_agents)])
+    return LossStream(QuadraticLoss(thetas))
 
 
 def csv_ingest(path, batch: int, T: int, n_agents: int = 1, n_classes: int | None = None) -> LossStream:
@@ -257,15 +246,7 @@ def csv_ingest(path, batch: int, T: int, n_agents: int = 1, n_classes: int | Non
     C = int(labels.max()) + 1 if n_classes is None else int(n_classes)
     if labels.max() >= C:
         raise ValueError(f"{path}: label {labels.max()} outside 0..{C - 1}")
-    total = n_agents * T * batch
-    idx = np.arange(total) % labels.size  # wrap policy
-    labels, feats = labels[idx], feats[idx]
-    per_agent = []
-    for i in range(n_agents):
-        seq = []
-        for t in range(T):
-            # row j of the file goes to agent j % n_agents, in file order
-            pick = (np.arange(batch) + t * batch) * n_agents + i
-            seq.append(SoftmaxLoss(feats[pick], labels[pick], C))
-        per_agent.append(seq)
-    return LossStream(per_agent)
+    # row j of the file goes to agent j % n_agents, in file order, wrapping at the end
+    j = np.arange(T * batch).reshape(T, batch) * n_agents + np.arange(n_agents)[:, None, None]
+    pick = j % labels.size  # (n_agents, T, batch)
+    return LossStream(SoftmaxLoss(feats[pick], labels[pick], C))

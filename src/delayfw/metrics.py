@@ -163,7 +163,8 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
 def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.ndarray:
     """(T, n) matrix of F_t(x^i_t) for distributed decisions (T, n, m).
 
-    One stacked F_t evaluation per round: T*n loss-value calls in all.
+    One stacked F_t evaluation per round, at all n decisions at once: T
+    loss-value calls in all.
     """
     T, n = decisions.shape[0], decisions.shape[1]
     out = np.empty((T, n))

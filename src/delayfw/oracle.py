@@ -61,24 +61,15 @@ class FtplOracle:
         """(N, m) current predictions; pure, identical between feedback calls."""
         return self.cset.lmo_batch(self.zeta * self.accum + self.noise)
 
-    def feedback(self, g, rows=None) -> None:
-        """Absorb one linear-loss gradient per row into the running sums.
-
-        g is (N, m), or (len(rows), m) when ``rows`` selects the rows that
-        receive feedback; the other rows are left untouched.
-        """
+    def feedback(self, g) -> None:
+        """Absorb one linear-loss gradient per row, g of shape (N, m), into the running sums."""
         g = np.asarray(g, dtype=np.float64)
-        want = (len(self.noise) if rows is None else len(rows), self.cset.dim)
-        if g.shape != want:
-            raise ValueError(f"feedback has shape {g.shape}, expected {want}")
+        if g.shape != self.accum.shape:
+            raise ValueError(f"feedback has shape {g.shape}, expected {self.accum.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite entries in feedback")
-        if rows is None:
-            self.accum = self.accum + g
-            self.feedback_count += 1
-        else:
-            self.accum[rows] = self.accum[rows] + g
-            self.feedback_count[rows] += 1
+        self.accum = self.accum + g
+        self.feedback_count += 1
 
 
 def ftpl_query_expected(cset: ConstraintSet, zeta: float, accum, samples: int, seed) -> np.ndarray:

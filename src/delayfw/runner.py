@@ -120,7 +120,10 @@ CONFIG_KEYS = {
 def _checked(val, kind, rule, name: str):
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if float in kinds and type(val) is int:
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigError(f"{name}: integer too large for a float") from None
     if not isinstance(val, kinds) or isinstance(val, bool) and bool not in kinds:
         expected = " or ".join(k.__name__ for k in kinds)
         raise ConfigError(f"{name}: expected {expected}, got {type(val).__name__}")

@@ -26,13 +26,3 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 def oracle_rng(seed: int, agent: int, k: int) -> np.random.Generator:
     """Stream for oracle k of the given agent (agent 0 = centralized)."""
     return rng_for(seed, STREAM_ORACLE, agent, k)
-
-
-def delay_rng(seed: int) -> np.random.Generator:
-    """Stream for sampling the delay sequence."""
-    return rng_for(seed, STREAM_DELAY)
-
-
-def loss_rng(seed: int) -> np.random.Generator:
-    """Stream for sampling loss-function data."""
-    return rng_for(seed, STREAM_LOSS)

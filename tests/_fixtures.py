@@ -39,9 +39,7 @@ DOFW_ETA_REG = 0.5
 
 
 def quad_stream(per_agent_thetas):
-    return LossStream(tuple(
-        tuple(QuadraticLoss(np.array(th)) for th in agent) for agent in per_agent_thetas
-    ))
+    return LossStream(QuadraticLoss(np.array(per_agent_thetas)))
 
 
 def golden_delmfw():

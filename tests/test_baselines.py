@@ -129,10 +129,10 @@ def test_dofw_gradients_use_origin_round_decisions():
     T = 3
     cset = ConstraintSet("l2_ball", 5.0, 2)
     thetas = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    stream_losses = tuple(QuadraticLoss(th) for th in thetas)
+    stream_losses = QuadraticLoss(thetas)
     from delayfw.losses import LossStream
 
-    stream = LossStream((stream_losses,))
+    stream = LossStream(stream_losses[None])
     schedule = DelaySchedule((3, 1, 1), dmax=3)
     trace = dofw_run(cset, stream, schedule, eta_reg=0.5)
     # replay by hand

@@ -68,6 +68,47 @@ def test_stacked_losses_keep_leading_axes():
         f.grad(np.zeros((3, 8)))
 
 
+def standalone(f):
+    """The same loss rebuilt from private copies of its data."""
+    if f.kind == "quadratic":
+        return QuadraticLoss(np.array(f.theta))
+    return SoftmaxLoss(np.array(f.features), np.array(f.labels), f.n_classes)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["quadratic", "softmax_xent"]), n=st.integers(1, 12),
+       T=st.integers(1, 5), p=st.integers(1, 5), C=st.integers(1, 4), batch=st.integers(1, 4),
+       k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stream_losses_and_constants_bitwise_equal_per_loss_reference(kind, n, T, p, C, batch,
+                                                                     k, seed):
+    # n up to 12 crosses 8, where a pairwise np.sum over agents would round differently
+    if kind == "quadratic":
+        stream = synth_quadratic_stream(seed, T, dim=p * C, n_agents=n)
+    else:
+        stream = synth_stream(seed, T, p=p, C=C, batch=batch, n_agents=n)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=2.0, size=(k, stream.dim))
+    for t in range(1, T + 1):
+        for x in (X[0], X):
+            for i in range(n):
+                f, g = stream.loss(i, t), standalone(stream.loss(i, t))
+                np.testing.assert_array_equal(f.value(x), g.value(x))
+                np.testing.assert_array_equal(f.grad(x), g.grad(x))
+            want = sum(stream.loss(i, t).value(x) for i in range(n)) / n
+            got = stream.average_value(x, t)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(got, want)
+    losses = [stream.loss(i, t) for i in range(n) for t in range(1, T + 1)]
+    cset = ConstraintSet("l1_ball", 1.0, stream.dim)
+    if kind == "quadratic":  # the per-loss reference for the stacked (G, beta)
+        far = max(float(np.linalg.norm(f.theta - cset.centroid())) for f in losses)
+        want = (cset.diameter() / 2.0 + far, 1.0)
+    else:
+        want = (max(float(np.linalg.norm(f.features, axis=1).sum()) for f in losses) * np.sqrt(2.0),
+                max(float(np.sum(f.features**2)) for f in losses))
+    assert estimate_constants(stream, cset) == want
+
+
 def test_average_value_on_agent_stack():
     stream = synth_quadratic_stream(seed=4, T=3, dim=5, n_agents=6)
     X = np.random.default_rng(1).normal(size=(6, 5))
@@ -105,7 +146,9 @@ def test_bank_query_rows_equal_single_lmo(kind, rows, dim, zeta, feeds, seed):
     for _ in range(feeds):
         bank.feedback(rng.normal(scale=5.0, size=(rows, dim)))
     some = sorted(rng.choice(rows, size=rows // 2, replace=False).tolist())
-    bank.feedback(rng.normal(size=(len(some), dim)), rows=some)
+    g = np.zeros((rows, dim))  # only some rows get a nonzero gradient
+    g[some] = rng.normal(size=(len(some), dim))
+    bank.feedback(g)
     out = bank.query()
     for r in range(rows):
         np.testing.assert_array_equal(out[r], cset.lmo(zeta * bank.accum[r] + bank.noise[r]))
@@ -124,9 +167,7 @@ def test_bank_rejects_non_finite(rows, bad, data):
     g = np.zeros((rows, 3))
     g[r, data.draw(st.integers(0, 2))] = bad
     with pytest.raises(ValueError):
-        bank.feedback(g)
-    with pytest.raises(ValueError):
-        bank.feedback(g[r:r + 1], rows=[r])
+        bank.feedback(g)  # zero rows beside the bad one
     assert bank.feedback_count.tolist() == [0] * rows
     bank.accum[r, 0] = bad  # only reachable by writing the state directly
     with pytest.raises(ValueError):
@@ -203,7 +244,7 @@ def test_diagnostics_cost_consensus_calls_only_when_on(monkeypatch, diagnostics)
 
 
 @pytest.mark.parametrize("loss", ["quadratic", "softmax"])
-def test_per_agent_losses_make_t_times_n_value_calls(monkeypatch, loss):
+def test_per_agent_losses_make_one_value_call_per_round(monkeypatch, loss):
     n, T = 6, 7
     if loss == "quadratic":
         stream, cls = synth_quadratic_stream(seed=0, T=T, dim=4, n_agents=n), QuadraticLoss
@@ -212,6 +253,6 @@ def test_per_agent_losses_make_t_times_n_value_calls(monkeypatch, loss):
     decisions = np.random.default_rng(0).normal(size=(T, n, stream.dim))
     value = Counter(monkeypatch, cls, "value")
     out = per_agent_global_losses(stream, decisions)
-    assert value.calls == T * n
+    assert value.calls == T  # one stacked call over the round's agents and points
     assert out.shape == (T, n)
     assert out[T - 1, n - 1] == stream.average_value(decisions[T - 1, n - 1], T)

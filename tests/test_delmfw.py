@@ -17,7 +17,7 @@ L1 = ConstraintSet("l1_ball", 1.0, 2)
 
 
 def quad_stream(thetas):
-    return LossStream([[QuadraticLoss(th) for th in thetas]])
+    return LossStream(QuadraticLoss([thetas]))
 
 
 # -- parameters ---------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_convexity_and_smoothness_spot_checks():
 
 
 def test_constants_quadratic_centered():
-    stream = LossStream([[QuadraticLoss(np.zeros(2))] * 3])
+    stream = LossStream(QuadraticLoss(np.zeros((1, 3, 2))))
     cset = ConstraintSet("l1_ball", 1.0, 2)
     G, beta = estimate_constants(stream, cset)
     assert beta == 1.0
@@ -135,7 +135,7 @@ def test_constants_quadratic_centered():
 
 def test_constants_softmax_unit_norm():
     a = np.array([[0.6, 0.8]])  # ||a|| = 1
-    stream = LossStream([[SoftmaxLoss(a, [0], 3)]])
+    stream = LossStream(SoftmaxLoss([[a]], [[[0]]], 3))
     cset = ConstraintSet("l1_ball", 1.0, 6)
     G, beta = estimate_constants(stream, cset)
     assert G == pytest.approx(math.sqrt(2.0))
@@ -211,11 +211,11 @@ def test_softmax_aggregates_match_brute_force():
 
 def test_stream_validation():
     with pytest.raises(ValueError):
-        LossStream([])
+        LossStream(QuadraticLoss(np.zeros((1, 0, 2))))  # no rounds
     with pytest.raises(ValueError):
-        LossStream([[QuadraticLoss([0.0])], [QuadraticLoss([0.0]), QuadraticLoss([1.0])]])
+        LossStream(QuadraticLoss(np.zeros((0, 3, 2))))  # no agents
     with pytest.raises(ValueError):
-        LossStream([[QuadraticLoss([0.0]), SoftmaxLoss([[1.0]], [0], 2)]])
+        LossStream(QuadraticLoss(np.zeros((3, 2))))  # no agent axis
 
 
 # -- CSV ingest ----------------------------------------------------------------

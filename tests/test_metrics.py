@@ -23,7 +23,7 @@ L1_2D = ConstraintSet("l1_ball", 1.0, 2)
 
 def alternating_stream(T):
     a, b = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    return LossStream((tuple(QuadraticLoss(a if t % 2 == 0 else b) for t in range(T)),))
+    return LossStream(QuadraticLoss([[a if t % 2 == 0 else b for t in range(T)]]))
 
 
 def trace_for(decisions, stream):
@@ -47,7 +47,7 @@ def test_comparator_alternating_symmetric_stream():
 
 
 def test_comparator_vertex_optimum():
-    stream = LossStream(((QuadraticLoss(np.array([2.0, 0.0])),),))
+    stream = LossStream(QuadraticLoss([[[2.0, 0.0]]]))
     comp = compute_comparator(stream, L1_2D)
     np.testing.assert_allclose(comp.x, [1.0, 0.0], atol=1e-12)
     # grid search over the ball confirms no better point
@@ -94,7 +94,7 @@ def test_constant_comparator_policy_has_zero_regret():
 def test_fixed_suboptimal_point_linear_regret():
     theta = np.array([0.25, 0.0])
     T = 9
-    stream = LossStream((tuple(QuadraticLoss(theta) for _ in range(T)),))
+    stream = LossStream(QuadraticLoss(np.tile(theta, (1, T, 1))))
     comp = Comparator(x=theta, gap=0.0, iterations=0)
     z = np.array([0.0, 0.5])
     trace = trace_for(np.tile(z, (T, 1)), stream)
@@ -117,11 +117,7 @@ def test_hand_regret_fixture():
 
 def test_distributed_regret_is_worst_agent():
     theta0, theta1 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    per_agent = (
-        tuple(QuadraticLoss(theta0) for _ in range(2)),
-        tuple(QuadraticLoss(theta1) for _ in range(2)),
-    )
-    stream = LossStream(per_agent)
+    stream = LossStream(QuadraticLoss([[theta0, theta0], [theta1, theta1]]))
     decisions = np.array([
         [[1.0, 0.0], [0.0, 0.0]],
         [[1.0, 0.0], [0.0, 0.0]],

@@ -155,7 +155,7 @@ def test_sha256_ignores_later_edits_to_the_parsed_dict():
     assert sha == parse(minimal_centralized()).sha256()
 
 
-BAD_VALUES = (None, True, -1, 1.5, "x", [], {}, math.inf, math.nan)
+BAD_VALUES = (None, True, -1, 1.5, "x", [], {}, math.inf, math.nan, 10**400)
 DELETE = object()
 
 
@@ -426,6 +426,14 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
         assert err.count("config error") == 2
         assert ("Infinity" if bad == math.inf else "NaN") in err
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_rejects_integers_too_large_for_a_float(tmp_path, capsys):
+    obj = minimal_centralized()
+    obj["set"]["radius"] = 10**400
+    path = write_cfg(tmp_path, obj)
+    assert cli.main(["validate", "--config", path]) == 1
+    assert "set.radius: integer too large for a float" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_exit_2(tmp_path, capsys, monkeypatch):
