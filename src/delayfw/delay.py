@@ -60,13 +60,6 @@ class DelaySchedule:
         s = np.arange(1, t + 1)
         return int(np.count_nonzero(s + self.d[:t] - 1 > t))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["d"])
-            for v in self.d:
-                w.writerow([int(v)])
-
 
 def schedule_from_csv(path, dmax: int | None = None) -> DelaySchedule:
     """Load a user-supplied (possibly adversarial) schedule from CSV.

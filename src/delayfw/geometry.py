@@ -4,7 +4,8 @@ Decision points throughout the package are plain 1-D float64 numpy arrays.
 A :class:`ConstraintSet` bundles a set kind with its size parameters and
 exposes the operations the algorithms need: the linear minimization oracle
 (``lmo``), membership testing, the Euclidean diameter, and (for the
-projected-gradient baseline only) Euclidean projection.
+projected-gradient baseline and the offline comparator only) Euclidean
+projection.
 
 Supported kinds:
 
@@ -134,14 +135,14 @@ class ConstraintSet:
             return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - r) <= tol)
         return bool(np.max(np.abs(x)) <= r + tol)
 
-    # -- projection (baselines only) ------------------------------------------
+    # -- projection (baseline and comparator only) ------------------------------
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the set.
 
         The Frank-Wolfe algorithms never call this; it exists for the
-        projected-gradient baseline and for sampling feasible points in
-        tests.
+        projected-gradient baseline, the offline regret comparator and for
+        sampling feasible points in tests.
         """
         x = _as_vector(x, self.dim)
         if not np.all(np.isfinite(x)):

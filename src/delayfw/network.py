@@ -92,12 +92,6 @@ class Topology:
             tau[j] += 1
         return tau
 
-    def to_edge_list(self, path) -> None:
-        """Dump one `i j` pair per line, zero-based."""
-        with open(path, "w") as fh:
-            for i, j in self.edges:
-                fh.write(f"{i} {j}\n")
-
 
 def topology(kind: str, n: int, p: float = 0.3, seed: int = 0) -> Topology:
     """Build one of the four named topologies.

@@ -42,7 +42,8 @@ class FtplOracle:
     Attributes:
         noise: (N, m) perturbations, row r drawn from the r-th seed.
         accum: (N, m) running feedback sums.
-        feedback_count: (N,) number of feedback vectors each row absorbed.
+        feedback_count: number of feedback calls absorbed; every call feeds
+            every row, so one count serves the whole bank.
     """
 
     def __init__(self, cset: ConstraintSet, zeta: float, seed):
@@ -55,7 +56,7 @@ class FtplOracle:
         self.zeta = float(zeta)
         self.noise = np.array([np.random.default_rng(s).uniform(size=cset.dim) for s in seeds])
         self.accum = np.zeros_like(self.noise)
-        self.feedback_count = np.zeros(len(seeds), dtype=np.int64)
+        self.feedback_count = 0
 
     def query(self) -> np.ndarray:
         """(N, m) current predictions; pure, identical between feedback calls."""

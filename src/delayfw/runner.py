@@ -367,6 +367,7 @@ def run_single(cfg: ExperimentConfig, run_seed: int):
         "G": repr(float(g)), "beta": repr(float(beta)), "D": repr(float(d)),
         "comparator_gap": repr(comparator.gap),
         "comparator_iterations": comparator.iterations,
+        "comparator_converged": comparator.converged,
         "config_sha256": cfg.sha256(),
     })
     return trace

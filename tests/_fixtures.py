@@ -2,6 +2,7 @@
 
 Used by test_golden.py (comparison) and make_golden.py (regeneration).
 Everything here is pinned: exact thetas, schedules, params, and seeds.
+Also holds ``write_schedule_csv``, the file writer for delay-schedule tests.
 """
 
 import numpy as np
@@ -15,6 +16,13 @@ from delayfw.metrics import attach_regret, compute_comparator
 from delayfw.network import topology
 
 CSET = ConstraintSet("l1_ball", 1.0, 2)
+
+
+def write_schedule_csv(path, delays) -> None:
+    """Write delays in the one-column ``d`` CSV format that schedule_from_csv reads."""
+    with open(path, "w") as fh:
+        fh.write("d\n" + "".join(f"{int(v)}\n" for v in delays))
+
 
 DELMFW_THETAS = (
     (0.5, 0.0),

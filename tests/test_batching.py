@@ -17,7 +17,7 @@ from delayfw.delay import gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, SoftmaxLoss, estimate_constants, synth_quadratic_stream, \
     synth_stream
-from delayfw.metrics import per_agent_global_losses
+from delayfw.metrics import Comparator, RunTrace, per_agent_global_losses, regret
 from delayfw.network import metropolis_weights, topology
 from delayfw.oracle import FtplOracle
 
@@ -168,7 +168,7 @@ def test_bank_rejects_non_finite(rows, bad, data):
     g[r, data.draw(st.integers(0, 2))] = bad
     with pytest.raises(ValueError):
         bank.feedback(g)  # zero rows beside the bad one
-    assert bank.feedback_count.tolist() == [0] * rows
+    assert bank.feedback_count == 0
     bank.accum[r, 0] = bad  # only reachable by writing the state directly
     with pytest.raises(ValueError):
         bank.query()
@@ -256,3 +256,41 @@ def test_per_agent_losses_make_one_value_call_per_round(monkeypatch, loss):
     assert value.calls == T  # one stacked call over the round's agents and points
     assert out.shape == (T, n)
     assert out[T - 1, n - 1] == stream.average_value(decisions[T - 1, n - 1], T)
+
+
+def stream_of(kind, seed, T, n):
+    if kind == "quadratic":
+        return synth_quadratic_stream(seed, T, dim=5, n_agents=n), QuadraticLoss
+    return synth_stream(seed, T, p=3, C=2, batch=2, n_agents=n), SoftmaxLoss
+
+
+def comparator_at(x):
+    return Comparator(x=x, gap=0.0, iterations=0, converged=True)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["quadratic", "softmax"]), n=st.integers(1, 12),
+       T=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_regret_comparator_losses_bitwise_equal_per_round(kind, n, T, seed):
+    # n up to 12 crosses 8, where a pairwise np.sum over agents would round differently
+    stream, _ = stream_of(kind, seed, T, n)
+    x = np.random.default_rng(seed).normal(scale=2.0, size=stream.dim)
+    trace = RunTrace(mode="delmfw", decisions=np.zeros((T, stream.dim)),
+                     inst_loss=np.zeros(T), metadata={})
+    want = -np.cumsum([stream.average_value(x, t) for t in range(1, T + 1)])
+    np.testing.assert_array_equal(regret(trace, comparator_at(x), stream), want)
+
+
+@pytest.mark.parametrize("loss", ["quadratic", "softmax"])
+def test_regret_makes_one_value_call_for_the_comparator(monkeypatch, loss):
+    n, T = 5, 9
+    stream, cls = stream_of(loss, 0, T, n)
+    x = np.random.default_rng(1).normal(size=stream.dim)
+    decisions = np.random.default_rng(0).normal(size=(T, n, stream.dim))
+    pal = per_agent_global_losses(stream, decisions)
+    trace = RunTrace(mode="de2mfw", decisions=decisions, inst_loss=pal.max(axis=1),
+                     metadata={}, per_agent_loss=pal)
+    value = Counter(monkeypatch, cls, "value")
+    curve = regret(trace, comparator_at(x), stream)
+    assert value.calls == 1  # one stacked call over all (agent, round) losses
+    assert curve.shape == (T,)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _fixtures import write_schedule_csv
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays, schedule_from_csv
 
 
@@ -147,7 +148,7 @@ def test_outstanding_sum_identity():
 def test_csv_round_trip(tmp_path):
     s = gen_delays(25, 6, seed=9)
     p = tmp_path / "sched.csv"
-    s.to_csv(p)
+    write_schedule_csv(p, s.d)
     back = schedule_from_csv(p, dmax=6)
     np.testing.assert_array_equal(back.d, s.d)
     assert back.dmax == 6

@@ -228,7 +228,7 @@ def test_delayed_feedback_reaches_oracles_late():
     np.testing.assert_array_equal(buf_grads[1][0], np.zeros(2))
     np.testing.assert_array_equal(buf_grads[2][0], np.zeros(2))  # round 1 still pending
     # releases: F_2={2}, F_3={1,3} (one summed feedback), F_4={4}
-    assert state.bank.feedback_count[0] == 3
+    assert state.bank.feedback_count == 3
 
 
 def test_run_input_validation():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayfw.geometry import ConstraintSet
-from delayfw.losses import LossStream, QuadraticLoss, synth_quadratic_stream
+from delayfw.geometry import KINDS, ConstraintSet
+from delayfw.losses import LossStream, QuadraticLoss, synth_quadratic_stream, synth_stream
 from delayfw.metrics import (
     Comparator,
     RunTrace,
@@ -79,6 +81,39 @@ def test_comparator_respects_max_iters():
     assert comp.iterations <= 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(loss=st.sampled_from(["quadratic", "softmax"]), kind=st.sampled_from(KINDS),
+       n=st.integers(1, 4), T=st.integers(1, 12), p=st.integers(1, 4), C=st.integers(1, 3),
+       radius=st.floats(0.1, 8.0), tol=st.sampled_from([None, 1e-3, 1e-9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_comparator_certificate_properties(loss, kind, n, T, p, C, radius, tol, seed):
+    dim = p * C
+    if loss == "quadratic":
+        stream = synth_quadratic_stream(seed, T, dim, n_agents=n, scale=radius)
+    else:
+        stream = synth_stream(seed, T, p=p, C=C, batch=2, n_agents=n)
+    cset = ConstraintSet(kind, radius, dim)
+    comp = compute_comparator(stream, cset, max_iters=2000, tol=tol)
+    assert cset.contains(comp.x, 1e-9)
+    if tol is None:  # the documented default
+        tol = 1e-6 * max(1.0, stream.total_value(cset.lmo(np.zeros(dim))) / T)
+    assert comp.converged == (comp.gap <= tol * T)
+    # the Frank-Wolfe gap bounds suboptimality against every feasible point
+    phi = stream.total_value(comp.x)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        u = cset.project(rng.normal(scale=2.0 * radius, size=dim))
+        phi_u = stream.total_value(u)
+        assert phi <= phi_u + comp.gap + 1e-9 * (1.0 + abs(phi_u))
+    if loss == "quadratic":
+        # Phi = (T/2)||x - c||^2 + const has minimizer x* = project(c) with c the mean
+        # target, and gap >= <grad, x - x*> >= T ||x - x*||^2 on the set
+        thetas = stream.losses.theta.reshape(-1, dim)
+        xstar = cset.project(thetas.sum(axis=0) / len(thetas))
+        dist2 = float(np.sum((comp.x - xstar) ** 2))
+        assert dist2 <= comp.gap / T + 1e-12 * (1.0 + radius * radius)
+
+
 # -- regret ----------------------------------------------------------------------
 
 
@@ -95,7 +130,7 @@ def test_fixed_suboptimal_point_linear_regret():
     theta = np.array([0.25, 0.0])
     T = 9
     stream = LossStream(QuadraticLoss(np.tile(theta, (1, T, 1))))
-    comp = Comparator(x=theta, gap=0.0, iterations=0)
+    comp = Comparator(x=theta, gap=0.0, iterations=0, converged=True)
     z = np.array([0.0, 0.5])
     trace = trace_for(np.tile(z, (T, 1)), stream)
     curve = regret(trace, comp, stream)
@@ -110,7 +145,7 @@ def test_hand_regret_fixture():
     decisions = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     trace = trace_for(decisions, stream)
     np.testing.assert_allclose(trace.inst_loss, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
-    comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0)
+    comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0, converged=True)
     curve = regret(trace, comp, stream)
     np.testing.assert_allclose(curve, [-0.5, -1.0, -1.5, -1.0], atol=1e-15)
 
@@ -127,14 +162,14 @@ def test_distributed_regret_is_worst_agent():
     np.testing.assert_allclose(pal, [[1.0, 0.5], [1.0, 0.5]], atol=1e-15)
     trace = RunTrace(mode="de2mfw", decisions=decisions,
                      inst_loss=pal.max(axis=1), metadata={}, per_agent_loss=pal)
-    comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0)
+    comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0, converged=True)
     curve = regret(trace, comp, stream)
     np.testing.assert_allclose(curve, [0.5, 1.0], atol=1e-15)
 
 
 def test_attach_regret_and_final():
     stream = alternating_stream(4)
-    comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0)
+    comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0, converged=True)
     trace = trace_for(np.zeros((4, 2)), stream)
     attach_regret(trace, comp, stream)
     assert trace.final_regret == pytest.approx(0.0, abs=1e-15)

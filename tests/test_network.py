@@ -164,12 +164,6 @@ def test_topology_validation():
         topology("erdos_renyi", 5, p=0.0)
 
 
-def test_edge_list_dump(tmp_path):
-    p = tmp_path / "edges.txt"
-    path3().to_edge_list(p)
-    assert p.read_text() == "0 1\n1 2\n"
-
-
 # -- algorithm constants -----------------------------------------------------
 
 

@@ -22,7 +22,7 @@ def make_oracle(noise, cset=L1, zeta=1.0):
 def test_new_oracle_state():
     o = FtplOracle(ConstraintSet("l1_ball", 1.0, 2), 0.5, seed=7)
     np.testing.assert_array_equal(o.accum, [[0.0, 0.0]])
-    assert o.feedback_count.tolist() == [0]
+    assert o.feedback_count == 0
     assert np.all((o.noise >= 0.0) & (o.noise <= 1.0))
 
 
@@ -85,7 +85,7 @@ def test_feedback_accumulates():
     o.feedback([[1.0, 1.0]])
     o.feedback([[2.0, -1.0]])
     np.testing.assert_array_equal(o.accum, [[3.0, 0.0]])
-    assert o.feedback_count.tolist() == [2]
+    assert o.feedback_count == 2
 
 
 def test_zero_feedback_leaves_query_unchanged():

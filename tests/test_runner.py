@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from _fixtures import write_schedule_csv
 from delayfw import cli, runner
 from delayfw.delay import DelaySchedule
 from delayfw.metrics import read_trace_csv
@@ -246,7 +247,7 @@ def test_delayed_agent_selection_seeded():
 def test_schedule_from_file(tmp_path):
     sched = DelaySchedule((2, 1, 3, 1, 1, 2, 1, 1, 2, 1, 1, 1), dmax=3)
     path = tmp_path / "sched.csv"
-    sched.to_csv(path)
+    write_schedule_csv(path, sched.d)
     obj = minimal_centralized()
     obj["delay"] = {"schedule": str(path)}
     cfg = parse(obj)
@@ -254,7 +255,7 @@ def test_schedule_from_file(tmp_path):
     assert list(built[0].d) == list(sched.d)
     short = DelaySchedule((1, 2), dmax=2)
     short_path = tmp_path / "short.csv"
-    short.to_csv(short_path)
+    write_schedule_csv(short_path, short.d)
     obj["delay"] = {"schedule": str(short_path)}
     with pytest.raises(runner.ConfigError, match="horizon"):
         runner._build_schedules(parse(obj), run_seed=0)
@@ -278,6 +279,15 @@ def test_run_experiment_outputs(tmp_path):
         assert row[1] == pytest.approx(cols["cum_loss"][-1], rel=1e-8)
         assert row[2] == pytest.approx(cols["regret_prefix"][-1], rel=1e-8, abs=1e-8)
         assert meta["config_sha256"] == cfg.sha256()
+
+
+@pytest.mark.parametrize("name", ["centralized_quadratic", "distributed_softmax"])
+def test_shipped_config_comparator_converges(name):
+    cfg = runner.parse_config(os.path.join(ROOT, "configs", f"{name}.json"))
+    trace = runner.run_single(cfg, 0)
+    assert trace.metadata["comparator_converged"] is True
+    assert trace.metadata["comparator_iterations"] < 5000
+    assert "#comparator_converged=True\n" in trace.csv_text()
 
 
 def test_reruns_byte_identical(tmp_path):
