@@ -77,10 +77,8 @@ class DgdState:
         self.x = cset.lmo(np.zeros(cset.dim))
 
     def round(self, released_grads) -> np.ndarray:
-        if released_grads:
-            total = np.asarray(released_grads[0], dtype=float).copy()
-            for g in released_grads[1:]:
-                total += np.asarray(g, dtype=float)
+        if len(released_grads):
+            total = np.add.accumulate(np.asarray(released_grads, dtype=float))[-1]  # in order
             self.x = self.cset.project(self.x - self.eta_dgd * total)
         return self.x
 
@@ -88,23 +86,20 @@ class DgdState:
 def _baseline_run(make_state, mode: str, step_key: str, cset: ConstraintSet,
                   stream: LossStream, schedule: DelaySchedule, step: float,
                   seed) -> RunTrace:
-    if stream.n_agents != 1:
-        raise ValueError(f"baselines are single-agent, got {stream.n_agents} agents")
-    if stream.T != schedule.T:
-        raise ValueError(f"horizon mismatch: stream T={stream.T}, schedule T={schedule.T}")
+    if stream.losses.shape != (1, schedule.T):
+        raise ValueError(f"baselines need a 1-agent stream of {schedule.T} rounds, "
+                         f"got shape {stream.losses.shape}")
     state = make_state(cset, step)
-    buffer = FeedbackBuffer()
+    table = FeedbackBuffer()
+    table.push(schedule.d[None])
     T = schedule.T
     decisions = np.empty((T, cset.dim))
-    inst = np.empty(T)
     for t in range(1, T + 1):
-        x_t = state.x
-        decisions[t - 1] = x_t
-        inst[t - 1] = stream.loss(0, t).value(x_t)
-        buffer.push(t, schedule.delay(t))
-        released = buffer.release(t)
-        grads = [stream.loss(0, s).grad(decisions[s - 1]) for s in released]
+        decisions[t - 1] = state.x
+        origins = table.release(t)[:, 1] - 1
+        grads = stream.losses[0, origins].grad(decisions[origins]) if len(origins) else []
         state.round(grads)
+    inst = stream.losses[0].value(decisions)
     metadata = {
         "mode": mode,
         "seed": seed,

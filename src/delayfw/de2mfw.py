@@ -8,8 +8,9 @@ neighbors' sub-iterates through the gossip matrix:
     x^i_{t,k+1} = (1-eta_k) y^i_{t,k} + eta_k v^i_{t,k}
 
 from the fixed feasible start x^i_{t,1}; agent i plays x^i_{t,K+1}.  The
-loss of round t surfaces at agent i only at round t + d^i_t - 1, which is
-why the sub-iterates of every outstanding round are kept until release.
+loss of round t surfaces at agent i only at round t + d^i_t - 1, so the
+sub-iterates of the last window = max dmax rounds stay in a ring of window
+slots, where round t's feedback finds them.
 
 The update block replaces raw delayed gradients with gradient tracking:
 local surrogate sums g^i are exchanged, averaged into
@@ -33,8 +34,9 @@ is the reference semantics for any parallel driver.
 
 The n*K oracles sit in one bank, row i*K + k - 1 for oracle k of agent i,
 and answer a round's queries with one batched LMO call: the oracles never
-see the iterates.  One gradient call per released loss covers all K
-sub-iterates at once.
+see the iterates.  The round's released (agent, origin) pairs come from a
+release table computed once from the schedules, and one gathered gradient
+call covers every released loss at all K sub-iterates.
 
 Default constants follow the sqrt(BT)-regret tuning: K = ceil(sqrt(T)),
 eta_k = min(1, A/k) and zeta = 1/(G*sqrt(B)), with A = max(3, G/(beta*D))
@@ -105,51 +107,38 @@ def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_
     return AlgoParams(T=T, K=K, A=a_dist, zeta=zeta, B_est=B_est)
 
 
-def sum_gradients(losses, points) -> np.ndarray:
-    """sum_s grad f_s(points[s]) in list order, seeded by the first term.
-
-    Each point may be a (..., m) stack; the sum is then taken row by row.
-    """
-    g = losses[0].grad(points[0]).copy()
-    for f, x in zip(losses[1:], points[1:]):
-        g += f.grad(x)
-    return g
-
-
 class NetworkRun:
-    """Lockstep state for n agents: oracle bank, buffers, outstanding sub-iterates.
+    """Lockstep state for n agents: oracle bank and a ring of recent sub-iterates.
 
-    consensus and tracking are the (T, K) diagnostic grids; they stay None
-    unless the round loop is asked for diagnostics.  With one agent an
-    empty release set leaves the bank untouched, as there is nothing to
-    exchange.
+    Round s's sub-iterates sit in ring slot s % window until round
+    s + window overwrites them, so window must be at least every agent's
+    largest delay.  consensus and tracking are the (T, K) diagnostic grids;
+    they stay None unless the round loop is asked for diagnostics.  With one
+    agent an empty release set leaves the bank untouched, as there is
+    nothing to exchange.
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
-                 record_details: bool = False):
+                 window: int, record_details: bool = False):
         self.cset = cset
         self.gossip = gossip
         self.params = params
         # per-round snapshots of every sub-step quantity, for invariant checks
         self.record_details = record_details
         self.details = {}
-        n, K = gossip.n, params.K
+        self.n = n = gossip.n
+        K = params.K
         self.bank = FtplOracle(cset, params.zeta, [
             seeding.oracle_rng(seed, i, k) for i in range(n) for k in range(1, K + 1)
         ])
-        self.buffers = [FeedbackBuffer() for _ in range(n)]
-        self.history = {}  # origin t -> (n, K+1, m) sub-iterates
-        self._remaining = {}  # origin t -> agents that have not released it yet
+        self.window = window
+        self.ring = np.empty((window, K + 1, n, cset.dim))  # slot s % window: x^i_{s,k}
         self._start = np.tile(cset.lmo(np.zeros(cset.dim)), (n, 1))
         self._etas = np.array([params.eta(k) for k in range(1, K + 1)])
         self._keep = (1.0 - self._etas).tolist()  # 1 - eta_k
         self._predicted = 0
         self.consensus = None
         self.tracking = None
-
-    @property
-    def n(self) -> int:
-        return self.gossip.n
 
     def predict_round(self, t: int) -> np.ndarray:
         """All agents' K gossip-FW steps; returns the (n, m) played decisions."""
@@ -159,7 +148,7 @@ class NetworkRun:
         K, n, m = self.params.K, self.n, self.cset.dim
         vs = self.bank.query().reshape(n, K, m)
         steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
-        subs = np.empty((K + 1, n, m))  # x^i_{t,k}, written in place step by step
+        subs = self.ring[t % self.window]  # x^i_{t,k}, written in place step by step
         subs[0] = self._start
         ys = np.empty((n, K, m)) if self.record_details else None
         cons = None if self.consensus is None else self.consensus[t - 1]
@@ -171,34 +160,29 @@ class NetworkRun:
             if ys is not None:
                 ys[:, k] = Y
             np.add(self._keep[k] * Y, steps[k], out=subs[k + 1])
-        self.history[t] = subs.swapaxes(0, 1)
         if self.record_details:
-            self.details[t] = {"subs": self.history[t].copy(), "v": vs, "y": ys}
-        self._remaining[t] = n
-        return subs[K]
+            self.details[t] = {"subs": subs.swapaxes(0, 1).copy(), "v": vs, "y": ys}
+        return subs[K].copy()
 
-    def absorb_round(self, t: int, released) -> None:
+    def absorb_round(self, t: int, rows, losses) -> None:
         """Gradient-tracking exchanges and oracle feedback for round t.
 
-        released[i] is the list of (origin s, loss f^i_s) pairs maturing at
-        agent i this round.  On a network it runs even when every list is
-        empty so that oracle feedback stays synchronized across rounds
-        (zero vectors).
+        rows holds the (agent i, origin s) pairs released this round, sorted
+        by agent and then origin, and losses the matching (r, 1) stack of the
+        f^i_s (None when rows is empty).  On a network it runs even when
+        nothing is released so that oracle feedback stays synchronized
+        across rounds (zero vectors).
         """
         K, n, m = self.params.K, self.n, self.cset.dim
-        for i, pairs in enumerate(released):
-            for s, _ in pairs:
-                if s not in self.history:
-                    raise ValueError(f"agent {i}: origin {s} has no stored sub-iterates")
-                if s > t:
-                    raise ValueError(f"agent {i}: release of round {s} before round {t}")
-
+        agents, origins = rows[:, 0], rows[:, 1]
         # sums[k] holds S^i_{k+1} = sum_{s in F^i_t} grad f^i_s(x^i_{s,k+1}) for every agent i
         sums = np.zeros((K, n, m))
-        for i, pairs in enumerate(released):
-            if pairs:
-                sums[:, i] = sum_gradients([f for _, f in pairs],
-                                           [self.history[s][i, :K] for s, _ in pairs])
+        if len(rows):
+            lo, hi = max(1, self._predicted - self.window + 1), min(t, self._predicted)
+            if origins.min() < lo or origins.max() > hi:  # not in the ring, or in the future
+                raise ValueError(f"round {t} releases origins outside {lo}..{hi}")
+            g = losses.grad(self.ring[origins % self.window, :K, agents])  # (r, K, m)
+            np.add.at(sums.swapaxes(0, 1), agents, g)  # each agent's terms in origin order
         if n == 1:
             ds = sums.swapaxes(0, 1)  # W = [1]: d = S exactly, no tracking correction
         else:
@@ -211,38 +195,34 @@ class NetworkRun:
         if self.tracking is not None:
             for k in range(K):
                 self.tracking[t - 1, k] = consensus_error(ds[:, k], sums[k].mean(axis=0))
-        if n > 1 or released[0]:
+        if n > 1 or len(rows):
             self.bank.feedback(ds.reshape(n * K, m))
         if self.record_details:
             self.details[t].update({"d": ds, "s": sums.swapaxes(0, 1)})
-        # an origin's sub-iterates stay until every agent has released it
-        for pairs in released:
-            for s, _ in pairs:
-                self._remaining[s] -= 1
-                if self._remaining[s] == 0:
-                    del self.history[s]
-                    del self._remaining[s]
 
 
 def run_rounds(run: NetworkRun, stream: LossStream, schedules,
                diagnostics: bool = False) -> np.ndarray:
     """Drive the run through its T rounds; returns the (T, n, m) decisions.
 
-    Each round predicts, pushes every agent's loss to its release buffer
-    and absorbs what matures.  With diagnostics the run's consensus and
-    tracking grids are filled.
+    Each round predicts and absorbs the losses that mature this round,
+    read from the schedules' release table.  With diagnostics the run's
+    consensus and tracking grids are filled.
     """
     T, K, n = run.params.T, run.params.K, run.n
+    if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
+        raise ValueError(f"need an ({n}, {T}) loss stream and {n} schedules of {T} rounds")
     if diagnostics:
         run.consensus, run.tracking = np.empty((T, K)), np.empty((T, K))
+    table = FeedbackBuffer()
+    table.push([s.d for s in schedules])
     decisions = np.empty((T, n, run.cset.dim))
     for t in range(1, T + 1):
         decisions[t - 1] = run.predict_round(t)
-        released = []
-        for i in range(n):
-            run.buffers[i].push(t, schedules[i].delay(t))
-            released.append([(s, stream.loss(i, s)) for s in run.buffers[i].release(t)])
-        run.absorb_round(t, released)
+        rows = table.release(t)
+        # an empty stack is no loss (SoftmaxLoss rejects it)
+        losses = stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
+        run.absorb_round(t, rows, losses)
     return decisions
 
 
@@ -267,13 +247,8 @@ def _base_metadata(mode: str, cset: ConstraintSet, stream: LossStream,
 def delmfw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
                params: AlgoParams, seed) -> RunTrace:
     """Centralized DeLMFW: T rounds of the engine on the one-node graph."""
-    if stream.n_agents != 1:
-        raise ValueError(f"centralized run needs a 1-agent stream, got {stream.n_agents}")
-    if not (stream.T == schedule.T == params.T):
-        raise ValueError(
-            f"horizon mismatch: stream T={stream.T}, schedule T={schedule.T}, params T={params.T}"
-        )
-    run = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed)
+    run = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed,
+                     window=schedule.dmax)
     decisions = run_rounds(run, stream, [schedule])
     metadata = _base_metadata("delmfw", cset, stream, params, seed)
     metadata.update({"B": schedule.B, "dmax": schedule.dmax})
@@ -285,21 +260,14 @@ def delmfw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
 def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topology,
                params: AlgoParams, seed, diagnostics: bool = True) -> RunTrace:
     """Run T synchronized rounds over the topology; trace is network-level."""
-    n = topo.n
-    if stream.n_agents != n:
-        raise ValueError(f"stream has {stream.n_agents} agents, topology has {n}")
-    if len(schedules) != n:
-        raise ValueError(f"need {n} delay schedules, got {len(schedules)}")
-    if any(s.T != params.T for s in schedules) or stream.T != params.T:
-        raise ValueError("stream/schedule horizons must equal params.T")
     gossip = metropolis_weights(topo)
-    run = NetworkRun(cset, gossip, params, seed)
+    run = NetworkRun(cset, gossip, params, seed, window=max(s.dmax for s in schedules))
     decisions = run_rounds(run, stream, schedules, diagnostics)
     per_agent = per_agent_global_losses(stream, decisions)
     metadata = _base_metadata("de2mfw", cset, stream, params, seed)
     metadata.update({
         "B": repr(float(np.mean([s.B for s in schedules]))),
-        "n": n,
+        "n": topo.n,
         "topology": topo.kind,
         "lambda2": repr(gossip.lambda2),
         "k0": gossip.k0,

@@ -1,22 +1,23 @@
-"""Delay schedules and the feedback-release buffer.
+"""Delay schedules and the release table.
 
 A schedule assigns each round ``t`` (1-based) a delay ``d_t >= 1``; the
 feedback generated at round t becomes available at round ``t + d_t - 1``,
-so ``d_t = 1`` means same-round (undelayed) release.  The buffer groups
-pushed origin rounds by release round and hands back the release sets
+so ``d_t = 1`` means same-round (undelayed) release.  The release sets of
+agent i,
 
-    F_t = {s : s + d_s - 1 = t}
+    F^i_t = {s : s + d^i_s - 1 = t},
 
-sorted by origin.  Feedback is summed by every consumer, so the sort is a
-determinism normalization with no algorithmic effect.  Items whose release
-round exceeds the horizon are simply never queried and drop out; the total
-delay B = sum(d_t) still counts them.
+are fixed by the schedules, so a run tabulates them once: one stable sort
+of the (n, T) due rounds gives every round's (agent, origin) rows, sorted
+by agent and then by origin.  Consumers sum each agent's feedback in that
+origin order, which fixes the rounding.  Feedback due after the horizon is
+never released; the total delay B = sum(d_t) still counts it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +34,6 @@ class DelaySchedule:
         object.__setattr__(self, "d", d)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("schedule must be a nonempty 1-D integer array")
-        if self.dmax < 1:
-            raise ValueError(f"dmax must be >= 1, got {self.dmax}")
         if d.min() < 1 or d.max() > self.dmax:
             raise ValueError(f"delays must lie in [1, {self.dmax}]")
 
@@ -52,13 +51,6 @@ class DelaySchedule:
         if not 1 <= t <= self.T:
             raise ValueError(f"round {t} outside 1..{self.T}")
         return int(self.d[t - 1])
-
-    def outstanding_count(self, t: int) -> int:
-        """Number of rounds s <= t whose feedback is still unreleased after round t."""
-        if not 1 <= t <= self.T:
-            raise ValueError(f"round {t} outside 1..{self.T}")
-        s = np.arange(1, t + 1)
-        return int(np.count_nonzero(s + self.d[:t] - 1 > t))
 
 
 def schedule_from_csv(path, dmax: int | None = None) -> DelaySchedule:
@@ -82,37 +74,33 @@ def schedule_from_csv(path, dmax: int | None = None) -> DelaySchedule:
 
 def gen_delays(T: int, dmax: int, seed) -> DelaySchedule:
     """Draw d_t i.i.d. uniform on {1..dmax} from the seeded generator."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if dmax < 1:
-        raise ValueError(f"dmax must be >= 1, got {dmax}")
     rng = np.random.default_rng(seed)
     return DelaySchedule(rng.integers(1, dmax + 1, size=T), dmax)
 
 
-@dataclass
 class FeedbackBuffer:
-    """Holds pushed feedback origins until their release round.
+    """The run's release table: which (agent, origin) pairs mature at each round.
 
-    Owned by a single consumer; release rounds must be queried in strictly
-    increasing order, each at most once.
+    ``push`` takes the whole (n, T) delay table once; ``release(t)`` is then
+    a slice of precomputed rows and may be asked in any order.
     """
 
-    _pending: dict = field(default_factory=dict)
-    _seen: set = field(default_factory=set)
-    _last_query: int = 0
+    _ends = (0,)  # the rows of rounds 1..t end at _ends[t]; nothing before a push
 
-    def push(self, origin: int, d: int) -> None:
-        if origin < 1 or d < 1:
-            raise ValueError(f"origin and delay must be >= 1, got ({origin}, {d})")
-        if origin in self._seen:
-            raise ValueError(f"origin {origin} already pushed")
-        self._seen.add(origin)
-        self._pending.setdefault(origin + d - 1, []).append(origin)
+    def push(self, d) -> None:
+        """Tabulate F^i_t for every agent i and round t from the delays d^i_s."""
+        d = np.asarray(d, dtype=np.int64)  # (n, T), every d^i_s >= 1 as DelaySchedule checks
+        T = d.shape[1]
+        due = (np.arange(T) + d).ravel()  # s + d^i_s - 1, agent-major
+        order = np.argsort(due, kind="stable")  # ties stay in (agent, origin) order
+        ends = np.searchsorted(due[order], np.arange(T + 1), side="right")
+        # (agent, origin) rows of the feedback due by T; what is due later never comes
+        self._rows = np.stack(np.divmod(order[:ends[-1]], T), axis=1) + [0, 1]
+        self._rows.flags.writeable = False
+        self._ends = ends.tolist()
 
-    def release(self, t: int) -> list:
-        """Return sorted F_t; empty when nothing matures this round."""
-        if t <= self._last_query:
-            raise ValueError(f"release({t}) after release({self._last_query}); rounds must increase")
-        self._last_query = t
-        return sorted(self._pending.pop(t, []))
+    def release(self, t: int) -> np.ndarray:
+        """F_t as (agent, origin) rows, sorted by agent and then origin; (0, 2) when empty."""
+        if not 1 <= t < len(self._ends):
+            raise ValueError(f"round {t} outside 1..{len(self._ends) - 1}")
+        return self._rows[self._ends[t - 1]:self._ends[t]]

@@ -486,13 +486,13 @@ def _f_matrix(values, mean_loss: dict) -> list:
 
 def _selftest_network_run():
     """Instrumented grid run shared by the identity checks: n=9, T=50, K=20."""
-    n, T, K, dim = 9, 50, 20, 4
+    n, T, K, dim, dmax = 9, 50, 20, 4, 5
     cset = ConstraintSet("l1_ball", 1.0, dim)
     topo = topology("grid", n, seed=0)
     gossip = metropolis_weights(topo)
     stream = synth_quadratic_stream(seeding.rng_for(0, seeding.STREAM_LOSS, 0),
                                     T, dim, n_agents=n, scale=0.8)
-    schedules = [gen_delays(T, 5, seeding.rng_for(0, seeding.STREAM_DELAY, 0, i))
+    schedules = [gen_delays(T, dmax, seeding.rng_for(0, seeding.STREAM_DELAY, 0, i))
                  for i in range(n)]
     g, beta = estimate_constants(stream, cset)
     d = cset.diameter()
@@ -502,7 +502,7 @@ def _selftest_network_run():
     params = distributed_params(T, g, beta, d,
                                 float(np.mean([s.B for s in schedules])),
                                 a_dist=consts.a_dist, K=K)
-    run = NetworkRun(cset, gossip, params, seed=0, record_details=True)
+    run = NetworkRun(cset, gossip, params, seed=0, window=dmax, record_details=True)
     run_rounds(run, stream, schedules)
     c_d = gossip.k0 * math.sqrt(n) * d
     return run, params, c_d

@@ -126,13 +126,13 @@ def test_average_value_on_agent_stack():
 def test_bank_noise_rows_follow_oracle_streams(n, K, dim, seed):
     cset = ConstraintSet("l1_ball", 1.0, dim)
     params = distributed_params(T=4, G=1.0, beta=1.0, D=2.0, B_est=4.0, a_dist=3.0, K=K)
-    run = NetworkRun(cset, metropolis_weights(topology("cycle", n)), params, seed)
+    run = NetworkRun(cset, metropolis_weights(topology("cycle", n)), params, seed, window=1)
     assert run.bank.noise.shape == (n * K, dim)
     for i in range(n):
         for k in range(1, K + 1):
             want = seeding.oracle_rng(seed, i, k).uniform(size=dim)
             np.testing.assert_array_equal(run.bank.noise[i * K + k - 1], want)
-    central = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed)
+    central = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed, window=1)
     np.testing.assert_array_equal(central.bank.noise, run.bank.noise[:K])
 
 
@@ -192,7 +192,14 @@ class Counter:
 
 
 def released_by_end(schedule, T):
-    return T - schedule.outstanding_count(T)
+    """The origins s with s + d_s - 1 <= T, whose feedback arrives within the run."""
+    return int(np.count_nonzero(np.arange(1, T + 1) + schedule.d - 1 <= T))
+
+
+def rounds_with_releases(schedules, T):
+    """The rounds t at which at least one agent's release set is non-empty."""
+    due = np.concatenate([np.arange(1, T + 1) + s.d - 1 for s in schedules])
+    return np.unique(due[due <= T]).size
 
 
 def test_delmfw_one_lmo_call_per_round(monkeypatch):
@@ -208,7 +215,9 @@ def test_delmfw_one_lmo_call_per_round(monkeypatch):
     delmfw_run(cset, stream, schedule, params, seed=1)
     assert query.calls == T
     assert lmo.calls == T + 1  # plus the start vertex, computed once per run
-    assert grad.calls == released_by_end(schedule, T)  # one per released loss, all K at once
+    # one gathered call per round with a non-empty release set, all K at once
+    assert grad.calls == rounds_with_releases([schedule], T)
+    assert grad.calls < released_by_end(schedule, T)  # fewer than one per released loss
 
 
 def test_de2mfw_one_lmo_call_per_round(monkeypatch):
@@ -224,7 +233,8 @@ def test_de2mfw_one_lmo_call_per_round(monkeypatch):
     de2mfw_run(cset, stream, schedules, topo, params, seed=2)
     assert query.calls == T
     assert lmo.calls == T + 1  # plus the start vertex, computed once per run
-    assert grad.calls == sum(released_by_end(s, T) for s in schedules)
+    assert grad.calls == rounds_with_releases(schedules, T)
+    assert grad.calls < sum(released_by_end(s, T) for s in schedules)
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])

@@ -32,7 +32,7 @@ def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None, record_details=
     b_est = float(np.mean([s.B for s in schedules]))
     params = distributed_params(T, G, beta, cset.diameter(), b_est, a_dist=3.0,
                                 K=K or math.ceil(math.sqrt(T)))
-    run = NetworkRun(cset, gossip, params, seed, record_details=record_details)
+    run = NetworkRun(cset, gossip, params, seed, dmax, record_details=record_details)
     return cset, topo, gossip, stream, schedules, params, run
 
 
@@ -112,18 +112,18 @@ def test_symmetry_on_complete_graph():
     # equal noises, equal losses, equal schedules: agents never diverge
     params = params_for(K=3, T=5)
     gossip = metropolis_weights(topology("complete", 4))
-    run = NetworkRun(L1, gossip, params, seed=0)
+    run = NetworkRun(L1, gossip, params, seed=0, window=1)
     noise = run.bank.noise.reshape(4, 3, 3)  # (agent, k, m) view of the bank rows
     for k in range(3):
         shared = noise[0, k]
         for i in range(1, 4):
             noise[i, k] = shared.copy()
-    theta = np.array([0.4, -0.1, 0.2])
+    losses = QuadraticLoss(np.tile([0.4, -0.1, 0.2], (4, 1, 1)))  # (4, 1) stack
     for t in range(1, 6):
         X = run.predict_round(t)
         for i in range(1, 4):
             np.testing.assert_array_equal(X[i], X[0])
-        run.absorb_round(t, [[(t, QuadraticLoss(theta))] for _ in range(4)])
+        run.absorb_round(t, np.array([[i, t] for i in range(4)]), losses)
 
 
 # -- tracking ----------------------------------------------------------------------
@@ -142,27 +142,24 @@ def test_tracking_average_identity():
             assert np.linalg.norm(mean_d - mean_s) <= 1e-9
 
 
-def test_tracking_first_step_is_local_gradient_sum():
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), kind=st.sampled_from(["complete", "cycle", "grid"]),
+       dmax=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_tracking_first_step_is_local_gradient_sum(n, kind, dmax, seed):
+    # S^i_k is agent i's released gradients at x^i_{s,k}, added one by one in origin order
+    T = 6
     cset, _, _, stream, schedules, params, run = network_setup(
-        n=3, T=6, dmax=3, seed=9, kind="cycle", record_details=True
+        n=n, T=T, dmax=dmax, seed=seed, kind=kind, K=3, record_details=True
     )
-    # replay the releases independently to rebuild S_1 for a few rounds
-    sched_sim = [{} for _ in range(3)]
-    for i in range(3):
-        for s in range(1, 7):
-            sched_sim[i].setdefault(s + schedules[i].delay(s) - 1, []).append(s)
-    drive(run, stream, schedules, 6)
-    for t in range(1, 7):
+    drive(run, stream, schedules, T)
+    for t in range(1, T + 1):
         det = run.details[t]
-        for i in range(3):
-            want = np.zeros(cset.dim)
-            for s in sorted(sched_sim[i].get(t, [])):
-                want = want + stream.loss(i, s).grad(det_subs(run, s, i))
-            np.testing.assert_allclose(det["s"][i, 0], want, atol=1e-12)
-
-
-def det_subs(run, origin, agent):
-    return run.details[origin]["subs"][agent, 0]
+        for i in range(n):
+            want = np.zeros((params.K, cset.dim))
+            for s in range(1, t + 1):
+                if s + schedules[i].delay(s) - 1 == t:
+                    want = want + stream.loss(i, s).grad(run.details[s]["subs"][i, :params.K])
+            np.testing.assert_array_equal(det["s"][i], want)
 
 
 def test_mean_recursion_identity():
@@ -207,11 +204,11 @@ def test_consensus_bound():
 def test_all_empty_round_is_zero_feedback():
     params = params_for(K=2, T=4)
     gossip = metropolis_weights(topology("cycle", 3))
-    run = NetworkRun(L1, gossip, params, seed=2)
+    run = NetworkRun(L1, gossip, params, seed=2, window=1)
     run.predict_round(1)
     before = run.bank.accum.copy()
     q_before = run.bank.query()
-    run.absorb_round(1, [[], [], []])
+    run.absorb_round(1, np.empty((0, 2), dtype=int), None)
     q_after = run.bank.query()
     for i in range(3):
         for k in range(2):
@@ -225,9 +222,9 @@ def test_neighbor_information_flows_to_empty_agents():
     # agent 1's oracles move even though only agent 0 released
     params = params_for(K=1, T=4)
     gossip = metropolis_weights(topology("cycle", 3))
-    run = NetworkRun(L1, gossip, params, seed=2)
+    run = NetworkRun(L1, gossip, params, seed=2, window=1)
     run.predict_round(1)
-    run.absorb_round(1, [[(1, QuadraticLoss(np.array([5.0, 0.0, 0.0])))], [], []])
+    run.absorb_round(1, np.array([[0, 1]]), QuadraticLoss([[[5.0, 0.0, 0.0]]]))
     # K = 1: bank row i is agent i's only oracle
     assert np.linalg.norm(run.bank.accum[1]) > 0.0
     assert np.linalg.norm(run.bank.accum[2]) > 0.0
@@ -237,27 +234,37 @@ def test_neighbor_information_flows_to_empty_agents():
 
 
 def test_history_persists_until_all_agents_release():
+    # agent 0 releases round 1 at t=1, agent 1 at t=3: a ring of 3 slots
+    # still holds round 1's sub-iterates then, a ring of 2 does not
     params = params_for(K=2, T=6)
     gossip = metropolis_weights(topology("complete", 2))
-    run = NetworkRun(L1, gossip, params, seed=4)
-    theta = QuadraticLoss(np.array([0.1, 0.2, 0.3]))
-    # agent 0 releases round 1 at t=1, agent 1 at t=3
-    run.predict_round(1)
-    run.absorb_round(1, [[(1, theta)], []])
-    assert 1 in run.history
-    run.predict_round(2)
-    run.absorb_round(2, [[], []])
-    run.predict_round(3)
-    run.absorb_round(3, [[], [(1, theta)]])
-    assert 1 not in run.history
+    loss = QuadraticLoss([[[0.1, 0.2, 0.3]]])
+    for window in (3, 2):
+        run = NetworkRun(L1, gossip, params, seed=4, window=window, record_details=True)
+        run.predict_round(1)
+        run.absorb_round(1, np.array([[0, 1]]), loss)
+        for t in (2, 3):
+            run.predict_round(t)
+        if window == 2:
+            with pytest.raises(ValueError):
+                run.absorb_round(3, np.array([[1, 1]]), loss)
+        else:
+            run.absorb_round(3, np.array([[1, 1]]), loss)
+            subs = run.details[1]["subs"][1, :2]  # agent 1's x_{1,1..K}
+            np.testing.assert_array_equal(run.details[3]["s"][1], loss.grad(subs)[0])
 
 
 def test_absorb_unknown_origin():
     params = params_for(K=1, T=4)
-    run = NetworkRun(L1, metropolis_weights(topology("complete", 2)), params, seed=0)
+    run = NetworkRun(L1, metropolis_weights(topology("complete", 2)), params, seed=0, window=2)
     run.predict_round(1)
+    loss = QuadraticLoss(np.zeros((1, 1, 3)))
     with pytest.raises(ValueError):
-        run.absorb_round(1, [[(2, QuadraticLoss(np.zeros(3)))], []])
+        run.absorb_round(1, np.array([[0, 2]]), loss)  # round 2 is still to come
+    with pytest.raises(ValueError):
+        run.absorb_round(1, np.array([[0, 0]]), loss)  # there is no round 0
+    with pytest.raises(ValueError):
+        run.absorb_round(2, np.array([[0, 2]]), loss)  # round 2 is not predicted yet
 
 
 def test_run_deterministic_and_validated():

@@ -1,18 +1,12 @@
-"""Delay schedule and release-buffer tests against hand simulations."""
+"""Delay schedule and release-table tests against hand simulations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _fixtures import write_schedule_csv
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays, schedule_from_csv
-
-
-def releases(schedule):
-    """Hand simulation of the release rule: round -> sorted origins."""
-    table = {}
-    for t in range(1, schedule.T + 1):
-        table.setdefault(t + schedule.delay(t) - 1, []).append(t)
-    return {r: sorted(v) for r, v in table.items()}
 
 
 def test_gen_no_delay():
@@ -46,89 +40,75 @@ def test_gen_validation():
         DelaySchedule(np.array([0, 1]), dmax=4)
 
 
+def table_of(*delays):
+    """The release table of one delay row per agent."""
+    buf = FeedbackBuffer()
+    buf.push(np.array(delays))
+    return buf
+
+
+def released(buf, t):
+    return [tuple(row) for row in buf.release(t).tolist()]
+
+
 def test_release_fixed_schedule():
-    # d=(1,3,1,2): F_1={1}, F_2={}, F_3={3}, F_4={2}, F_5={4}; B=7
+    # d=(1,3,1,2): F_1={1}, F_2={}, F_3={3}, F_4={2}; F_5={4} lies past T = 4
     s = DelaySchedule(np.array([1, 3, 1, 2]), dmax=3)
     assert s.B == 7
-    buf = FeedbackBuffer()
-    got = {}
-    for t in range(1, s.T + 1):
-        buf.push(t, s.delay(t))
-        got[t] = buf.release(t)
-    got[5] = buf.release(5)
-    assert got == {1: [1], 2: [], 3: [3], 4: [2], 5: [4]}
+    buf = table_of(s.d)
+    got = {t: [o for _, o in released(buf, t)] for t in range(1, s.T + 1)}
+    assert got == {1: [1], 2: [], 3: [3], 4: [2]}
+    assert buf.release(2).shape == (0, 2)
+    with pytest.raises(ValueError):
+        buf.release(5)
 
 
 def test_push_release_rounds():
-    buf = FeedbackBuffer()
-    buf.push(2, 3)
-    buf.push(1, 1)
-    assert buf.release(1) == [1]
-    assert buf.release(2) == []
-    assert buf.release(3) == []
-    assert buf.release(4) == [2]
+    # d=(1,3,1,1): round 2's feedback waits until round 4, behind round 4's own
+    buf = table_of([1, 3, 1, 1])
+    assert [released(buf, t) for t in range(1, 5)] == [[(0, 1)], [], [(0, 3)], [(0, 2), (0, 4)]]
+
+
+def test_release_rows_are_agent_then_origin():
+    buf = table_of([3, 2, 1], [1, 2, 1], [2, 1, 1])
+    assert released(buf, 1) == [(1, 1)]
+    assert released(buf, 2) == [(2, 1), (2, 2)]
+    assert released(buf, 3) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_no_delay_releases_self():
     s = gen_delays(50, 1, seed=1)
-    buf = FeedbackBuffer()
+    buf = table_of(s.d)
     for t in range(1, 51):
-        buf.push(t, s.delay(t))
-        assert buf.release(t) == [t]
+        assert released(buf, t) == [(0, t)]
 
 
-def test_release_matches_hand_simulation_random():
-    for seed in range(30):
-        s = gen_delays(60, 9, seed=seed)
-        table = releases(s)
-        buf = FeedbackBuffer()
-        for t in range(1, s.T + s.dmax + 1):
-            if t <= s.T:
-                buf.push(t, s.delay(t))
-            assert buf.release(t) == table.get(t, [])
-
-
-def test_conservation():
-    # Every origin is released exactly once within T + dmax rounds.
-    for seed in range(10):
-        s = gen_delays(100, 13, seed=seed)
-        buf = FeedbackBuffer()
-        seen = []
-        for t in range(1, s.T + s.dmax + 1):
-            if t <= s.T:
-                buf.push(t, s.delay(t))
-            seen.extend(buf.release(t))
-        assert sorted(seen) == list(range(1, 101))
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), T=st.integers(1, 40), dmax=st.integers(1, 50), data=st.data())
+def test_release_matches_hand_simulation_random(n, T, dmax, data):
+    d = np.array(data.draw(st.lists(st.lists(st.integers(1, dmax), min_size=T, max_size=T),
+                                    min_size=n, max_size=n)))
+    buf = table_of(*d)
+    seen = []
+    for t in range(1, T + 1):
+        want = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 == t]
+        assert released(buf, t) == want
+        seen += want
+    due_by_T = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 <= T]
+    assert sorted(seen) == due_by_T  # every pair due by T exactly once, none due after
 
 
 def test_buffer_errors():
     buf = FeedbackBuffer()
-    buf.push(1, 2)
     with pytest.raises(ValueError):
-        buf.push(1, 5)
+        buf.release(1)  # nothing pushed
+    buf.push([[1, 2]])
     with pytest.raises(ValueError):
-        buf.push(0, 1)
-    buf.release(3)
+        buf.release(0)
     with pytest.raises(ValueError):
-        buf.release(2)
-
-
-def test_outstanding_count_examples():
-    s = DelaySchedule(np.array([1, 3, 1, 2]), dmax=3)
-    assert s.outstanding_count(2) == 1
-    assert s.outstanding_count(1) == 0
-    assert s.outstanding_count(3) == 1  # only round 2 is both played and unreleased
-    s1 = gen_delays(20, 1, seed=0)
-    assert all(s1.outstanding_count(t) == 0 for t in range(1, 21))
-
-
-def test_outstanding_count_matches_definition():
-    for seed in range(100):
-        s = gen_delays(40, 11, seed=seed)
-        for t in (1, 5, 17, 40):
-            brute = sum(1 for u in range(1, t + 1) if u + s.delay(u) - 1 > t)
-            assert s.outstanding_count(t) == brute
-            assert s.outstanding_count(t) <= min(t, s.dmax - 1 + brute)
+        buf.release(3)
+    with pytest.raises(ValueError):
+        buf.release(1)[0, 0] = 5  # the table is read-only
 
 
 def test_outstanding_sum_identity():
@@ -141,8 +121,10 @@ def test_outstanding_sum_identity():
             for t in range(1, s.T + s.dmax + 1)
         )
         assert unbounded == sum(s.delay(u) - 1 for u in range(1, s.T + 1))
-        within = sum(s.outstanding_count(t) for t in range(1, s.T + 1))
-        assert within <= s.B
+        buf = table_of(s.d)
+        done = np.cumsum([len(buf.release(t)) for t in range(1, s.T + 1)])
+        within = int(np.sum(np.arange(1, s.T + 1) - done))  # played but unreleased after t
+        assert within <= unbounded <= s.B - s.T
 
 
 def test_csv_round_trip(tmp_path):

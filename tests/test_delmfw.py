@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delayfw.de2mfw import AlgoParams, NetworkRun, centralized_params, delmfw_run
-from delayfw.delay import DelaySchedule, gen_delays
+from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, estimate_constants, synth_quadratic_stream
 from delayfw.network import metropolis_weights, topology
@@ -56,9 +56,19 @@ def params_for(K, zeta=1.0, A=3.0, T=10):
     return AlgoParams(T=T, K=K, A=A, zeta=zeta, B_est=1.0)
 
 
-def central_run(cset, params, seed):
+def central_run(cset, params, seed, window=1):
     """The engine on the one-node graph, as delmfw_run drives it."""
-    return NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed)
+    return NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed, window)
+
+
+def ring_subs(state, origin):
+    """x_{origin,1..K+1} of the one agent, read from the ring."""
+    return state.ring[origin % state.window, :, 0]
+
+
+def release(origins, losses):
+    """Rows and loss stack of a one-agent release set, as run_rounds builds them."""
+    return np.array([[0, s] for s in origins]), losses[np.array(origins) - 1, None]
 
 
 def test_predict_k1_plays_oracle_output():
@@ -80,8 +90,8 @@ def test_predict_k2_hand_unroll():
     state.bank.noise[1] = np.array([0.9, 0.1])
     x = state.predict_round(1)[0]
     np.testing.assert_array_equal(x, [-1.0, 0.0])  # lmo of second noise
-    np.testing.assert_array_equal(state.history[1][0, 0], [1.0, 0.0])  # x_{1,1} = start vertex
-    np.testing.assert_array_equal(state.history[1][0, 1], [0.0, -1.0])  # x_{1,2} = v_1
+    np.testing.assert_array_equal(ring_subs(state, 1)[0], [1.0, 0.0])  # x_{1,1} = start vertex
+    np.testing.assert_array_equal(ring_subs(state, 1)[1], [0.0, -1.0])  # x_{1,2} = v_1
 
 
 def test_predict_fractional_eta_hand_unroll():
@@ -106,12 +116,14 @@ def test_predict_order_enforced():
 
 def test_predict_feasible_and_stores_history():
     cset = ConstraintSet("simplex", 2.0, 4)
-    state = central_run(cset, params_for(K=6), seed=3)
+    state = central_run(cset, params_for(K=6), seed=3, window=3)
+    assert state.ring.shape == (3, 7, 1, 4)  # x_{t,1..K+1} of the last 3 rounds
     for t in range(1, 6):
         x = state.predict_round(t)[0]
         assert cset.contains(x, tol=1e-9)
-        assert state.history[t].shape == (1, 7, 4)  # x_{t,1..K+1} of the one agent
-        assert all(cset.contains(s, tol=1e-9) for s in state.history[t][0])
+        np.testing.assert_array_equal(ring_subs(state, t)[-1], x)
+        x[:] = 9.0  # the played decision is a copy, not a view of the ring
+        assert all(cset.contains(s, tol=1e-9) for s in ring_subs(state, t))
 
 
 # -- absorb ---------------------------------------------------------------------
@@ -121,43 +133,45 @@ def test_absorb_empty_is_noop():
     state = central_run(L1, params_for(K=3), seed=2)
     state.predict_round(1)
     before = state.bank.accum.copy()
-    state.absorb_round(1, [[]])
+    state.absorb_round(1, np.empty((0, 2), dtype=int), None)
     for k in range(3):
         np.testing.assert_array_equal(state.bank.accum[k], before[k])
-    assert 1 in state.history
+    assert state.bank.feedback_count == 0
 
 
 def test_absorb_single_quadratic():
     state = central_run(L1, params_for(K=2), seed=4)
     state.predict_round(1)
     theta = np.array([0.25, -0.5])
-    subs = state.history[1][0].copy()
-    state.absorb_round(1, [[(1, QuadraticLoss(theta))]])
+    subs = ring_subs(state, 1).copy()
+    state.absorb_round(1, *release([1], QuadraticLoss([theta])))
     for k in range(2):
         np.testing.assert_array_equal(state.bank.accum[k], subs[k] - theta)
-    assert state.history == {}
 
 
 def test_absorb_sums_release_set():
-    state = central_run(L1, params_for(K=3), seed=6)
-    losses = {t: QuadraticLoss(np.array([0.1 * t, -0.2 * t])) for t in range(1, 6)}
+    state = central_run(L1, params_for(K=3), seed=6, window=4)
+    losses = QuadraticLoss([[0.1 * t, -0.2 * t] for t in range(1, 6)])
     for t in range(1, 6):
         state.predict_round(t)
-    subs = {t: state.history[t][0].copy() for t in (2, 5)}
-    state.absorb_round(5, [[(2, losses[2]), (5, losses[5])]])
+    subs = {t: ring_subs(state, t).copy() for t in (2, 5)}
+    state.absorb_round(5, *release([2, 5], losses))
     for k in range(3):
-        want = losses[2].grad(subs[2][k]) + losses[5].grad(subs[5][k])
+        want = losses[1].grad(subs[2][k]) + losses[4].grad(subs[5][k])
         np.testing.assert_array_equal(state.bank.accum[k], want)
 
 
 def test_absorb_unknown_or_double_release():
+    # with window 1 round 1's sub-iterates are gone by round 2
     state = central_run(L1, params_for(K=1), seed=0)
+    losses = QuadraticLoss(np.zeros((3, 2)))
     state.predict_round(1)
-    state.absorb_round(1, [[(1, QuadraticLoss(np.zeros(2)))]])
+    state.absorb_round(1, *release([1], losses))
+    state.predict_round(2)
     with pytest.raises(ValueError):
-        state.absorb_round(2, [[(1, QuadraticLoss(np.zeros(2)))]])
+        state.absorb_round(2, *release([1], losses))
     with pytest.raises(ValueError):
-        state.absorb_round(2, [[(3, QuadraticLoss(np.zeros(2)))]])
+        state.absorb_round(2, *release([3], losses))
 
 
 # -- full runs -------------------------------------------------------------------
@@ -199,32 +213,22 @@ def test_run_feasibility_and_metadata():
     np.testing.assert_allclose(trace.cum_loss, np.cumsum(trace.inst_loss), atol=1e-9)
 
 
-def test_history_size_tracks_outstanding_count():
-    cset, stream, schedule, params = run_setup(T=40, dmax=7, seed=9)
-    state = central_run(cset, params, seed=9)
-    for t in range(1, 41):
-        state.predict_round(t)
-        state.buffers[0].push(t, schedule.delay(t))
-        released = state.buffers[0].release(t)
-        state.absorb_round(t, [[(s, stream.loss(0, s)) for s in released]])
-        assert len(state.history) == schedule.outstanding_count(t)
-
-
 def test_delayed_feedback_reaches_oracles_late():
     # single round-1 loss delayed by 3 rounds: accumulators stay zero until then
     cset = ConstraintSet("l1_ball", 1.0, 2)
     stream = quad_stream([np.array([0.5, 0.0])] * 4)
     schedule = DelaySchedule(np.array([3, 1, 1, 1]), dmax=3)
     params = params_for(K=2, zeta=0.5, T=4)
-    state = central_run(cset, params, seed=0)
+    state = central_run(cset, params, seed=0, window=schedule.dmax)
+    table = FeedbackBuffer()
+    table.push([schedule.d])
     buf_grads = {}
     for t in range(1, 5):
         state.predict_round(t)
         if t < 3:
             buf_grads[t] = state.bank.accum.copy()
-        state.buffers[0].push(t, schedule.delay(t))
-        rel = state.buffers[0].release(t)
-        state.absorb_round(t, [[(s, stream.loss(0, s)) for s in rel]])
+        rows = table.release(t)
+        state.absorb_round(t, rows, stream.losses[0, rows[:, 1] - 1, None] if len(rows) else None)
     np.testing.assert_array_equal(buf_grads[1][0], np.zeros(2))
     np.testing.assert_array_equal(buf_grads[2][0], np.zeros(2))  # round 1 still pending
     # releases: F_2={2}, F_3={1,3} (one summed feedback), F_4={4}
