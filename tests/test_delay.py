@@ -98,6 +98,17 @@ def test_release_matches_hand_simulation_random(n, T, dmax, data):
     assert sorted(seen) == due_by_T  # every pair due by T exactly once, none due after
 
 
+def test_conservation():
+    # Every origin is released exactly once by T, or is still outstanding at T.
+    for seed in range(10):
+        s = gen_delays(100, 13, seed=seed)
+        buf = table_of(s.d)
+        seen = [o for t in range(1, s.T + 1) for _, o in released(buf, t)]
+        outstanding = [o for o in range(1, s.T + 1) if o + s.delay(o) - 1 > s.T]
+        assert len(seen) == len(set(seen))
+        assert sorted(seen + outstanding) == list(range(1, 101))
+
+
 def test_buffer_errors():
     buf = FeedbackBuffer()
     with pytest.raises(ValueError):
