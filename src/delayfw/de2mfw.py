@@ -38,6 +38,12 @@ see the iterates.  The round's released (agent, origin) pairs come from a
 release table computed once from the schedules, and one gathered gradient
 call covers every released loss at all K sub-iterates.
 
+A run keeps its latest round's arrays (x, v, y, S, d) until the next round
+replaces them.  The round loop's one optional observe(t) callback reads
+them after each round; the consensus and tracking diagnostics are such an
+observer, two stacked calls per round, and the loop itself has no
+instrumentation.
+
 Default constants follow the sqrt(BT)-regret tuning: K = ceil(sqrt(T)),
 eta_k = min(1, A/k) and zeta = 1/(G*sqrt(B)), with A = max(3, G/(beta*D))
 centrally and A from the joint (A, C_g) resolution on a network.  The
@@ -85,11 +91,10 @@ class AlgoParams:
 
 
 def centralized_params(T: int, G: float, beta: float, D: float, B_est: float,
-                       K: int | None = None, A: float | None = None,
-                       zeta: float | None = None) -> AlgoParams:
-    """Default single-agent tuning; any field can be overridden."""
+                       K: int | None = None, zeta: float | None = None) -> AlgoParams:
+    """Default single-agent tuning, A = max(3, G/(beta D)); K and zeta can be overridden."""
     params = distributed_params(T, G, beta, D, B_est, 3.0, K=K, zeta=zeta)
-    return replace(params, A=max(3.0, G / (beta * D)) if A is None else A)
+    return replace(params, A=max(3.0, G / (beta * D)))
 
 
 def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_dist: float,
@@ -110,22 +115,20 @@ def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_
 class NetworkRun:
     """Lockstep state for n agents: oracle bank and a ring of recent sub-iterates.
 
-    Round s's sub-iterates sit in ring slot s % window until round
-    s + window overwrites them, so window must be at least every agent's
-    largest delay.  consensus and tracking are the (T, K) diagnostic grids;
-    they stay None unless the round loop is asked for diagnostics.  With one
-    agent an empty release set leaves the bank untouched, as there is
-    nothing to exchange.
+    Round s's sub-iterates sit in ring slot s % window, a (K+1, n, m) array,
+    until round s + window overwrites them, so window must be at least every
+    agent's largest delay.  The latest round's other arrays are step-major
+    (K, n, m) arrays or views, never copies, valid until the next round:
+    vs and ys (oracle outputs v, mixed iterates y) from predict_round, sums
+    (S) and ds (d) from absorb_round.  With one agent an empty release set
+    leaves the bank untouched, as there is nothing to exchange.
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
-                 window: int, record_details: bool = False):
+                 window: int):
         self.cset = cset
         self.gossip = gossip
         self.params = params
-        # per-round snapshots of every sub-step quantity, for invariant checks
-        self.record_details = record_details
-        self.details = {}
         self.n = n = gossip.n
         K = params.K
         self.bank = FtplOracle(cset, params.zeta, [
@@ -136,9 +139,9 @@ class NetworkRun:
         self._start = np.tile(cset.lmo(np.zeros(cset.dim)), (n, 1))
         self._etas = np.array([params.eta(k) for k in range(1, K + 1)])
         self._keep = (1.0 - self._etas).tolist()  # 1 - eta_k
+        self._mixed = np.empty((K, n, cset.dim))  # the ys of every round when n > 1
         self._predicted = 0
-        self.consensus = None
-        self.tracking = None
+        self.vs = self.ys = self.sums = self.ds = None
 
     def predict_round(self, t: int) -> np.ndarray:
         """All agents' K gossip-FW steps; returns the (n, m) played decisions."""
@@ -150,18 +153,12 @@ class NetworkRun:
         steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
         subs = self.ring[t % self.window]  # x^i_{t,k}, written in place step by step
         subs[0] = self._start
-        ys = np.empty((n, K, m)) if self.record_details else None
-        cons = None if self.consensus is None else self.consensus[t - 1]
+        ys = self._mixed if n > 1 else subs[:K]  # W = [1] mixes exactly: y = x
         for k in range(K):
-            X = subs[k]
-            Y = self.gossip.mix(X) if n > 1 else X  # W = [1] mixes exactly
-            if cons is not None:
-                cons[k] = consensus_error(Y, X.mean(axis=0))
-            if ys is not None:
-                ys[:, k] = Y
-            np.add(self._keep[k] * Y, steps[k], out=subs[k + 1])
-        if self.record_details:
-            self.details[t] = {"subs": subs.swapaxes(0, 1).copy(), "v": vs, "y": ys}
+            if n > 1:
+                self.gossip.mix(subs[k], out=ys[k])
+            np.add(self._keep[k] * ys[k], steps[k], out=subs[k + 1])
+        self.vs, self.ys = vs.swapaxes(0, 1), ys
         return subs[K].copy()
 
     def absorb_round(self, t: int, rows, losses) -> None:
@@ -192,28 +189,22 @@ class NetworkRun:
                 ds[:, k] = self.gossip.mix(G)
                 if k + 1 < K:
                     G = sums[k + 1] + (ds[:, k] - sums[k])
-        if self.tracking is not None:
-            for k in range(K):
-                self.tracking[t - 1, k] = consensus_error(ds[:, k], sums[k].mean(axis=0))
         if n > 1 or len(rows):
             self.bank.feedback(ds.reshape(n * K, m))
-        if self.record_details:
-            self.details[t].update({"d": ds, "s": sums.swapaxes(0, 1)})
+        self.sums, self.ds = sums, ds.swapaxes(0, 1)
 
 
-def run_rounds(run: NetworkRun, stream: LossStream, schedules,
-               diagnostics: bool = False) -> np.ndarray:
+def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> np.ndarray:
     """Drive the run through its T rounds; returns the (T, n, m) decisions.
 
     Each round predicts and absorbs the losses that mature this round,
-    read from the schedules' release table.  With diagnostics the run's
-    consensus and tracking grids are filled.
+    read from the schedules' release table.  observe(t), when given, is
+    called after round t's absorb_round, while the run's round arrays
+    still hold round t.
     """
-    T, K, n = run.params.T, run.params.K, run.n
+    T, n = run.params.T, run.n
     if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
         raise ValueError(f"need an ({n}, {T}) loss stream and {n} schedules of {T} rounds")
-    if diagnostics:
-        run.consensus, run.tracking = np.empty((T, K)), np.empty((T, K))
     table = FeedbackBuffer()
     table.push([s.d for s in schedules])
     decisions = np.empty((T, n, run.cset.dim))
@@ -223,6 +214,8 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules,
         # an empty stack is no loss (SoftmaxLoss rejects it)
         losses = stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
         run.absorb_round(t, rows, losses)
+        if observe is not None:
+            observe(t)
     return decisions
 
 
@@ -259,10 +252,21 @@ def delmfw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
 
 def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topology,
                params: AlgoParams, seed, diagnostics: bool = True) -> RunTrace:
-    """Run T synchronized rounds over the topology; trace is network-level."""
+    """Run T synchronized rounds over the topology; trace is network-level.
+
+    With diagnostics an observer fills the (T, K) consensus and tracking grids.
+    """
     gossip = metropolis_weights(topo)
     run = NetworkRun(cset, gossip, params, seed, window=max(s.dmax for s in schedules))
-    decisions = run_rounds(run, stream, schedules, diagnostics)
+    consensus = tracking = observe = None
+    if diagnostics:
+        consensus, tracking = np.empty((params.T, params.K)), np.empty((params.T, params.K))
+
+        def observe(t):  # max_i ||y^i_{t,k} - xbar_{t,k}|| and max_i ||d^i_{t,k} - Sbar_k||
+            xs = run.ring[t % run.window, :-1]  # x^i_{t,k}, the iterates each mix averages
+            consensus[t - 1] = consensus_error(run.ys, xs.mean(axis=1))
+            tracking[t - 1] = consensus_error(run.ds, run.sums.mean(axis=1))
+    decisions = run_rounds(run, stream, schedules, observe)
     per_agent = per_agent_global_losses(stream, decisions)
     metadata = _base_metadata("de2mfw", cset, stream, params, seed)
     metadata.update({
@@ -280,6 +284,6 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
         metadata=metadata,
         per_agent_loss=per_agent,
         mean_loss=per_agent.mean(axis=1),
-        consensus=run.consensus,
-        tracking=run.tracking,
+        consensus=consensus,
+        tracking=tracking,
     )

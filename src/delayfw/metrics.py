@@ -216,11 +216,15 @@ def attach_regret(trace: RunTrace, comparator: Comparator, stream: LossStream) -
     return trace
 
 
-def consensus_error(vectors: np.ndarray, center: np.ndarray | None = None) -> float:
-    """max_i ||vectors[i] - center||, center defaulting to the stack mean."""
+def consensus_error(vectors: np.ndarray, center: np.ndarray | None = None):
+    """max_i ||vectors[..., i, :] - center|| over the n agents of an (..., n, m) stack.
+
+    center (..., m) defaults to the agent mean.  One (n, m) slice (or n scalars)
+    gives a float, a (K, n, m) stack the (K,) array of its per-slice values.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 1:
         vectors = vectors[:, None]
-    if center is None:
-        center = vectors.mean(axis=0)
-    return float(np.max(np.linalg.norm(vectors - center, axis=-1)))
+    center = vectors.mean(axis=-2) if center is None else np.asarray(center, dtype=np.float64)
+    err = np.max(np.linalg.norm(vectors - center[..., None, :], axis=-1), axis=-1)
+    return float(err) if err.ndim == 0 else err

@@ -151,9 +151,9 @@ class GossipMatrix:
     def n(self) -> int:
         return self.w.shape[0]
 
-    def mix(self, x: np.ndarray) -> np.ndarray:
+    def mix(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One synchronous gossip exchange: rows of x are per-agent vectors."""
-        return self.w @ x
+        return np.matmul(self.w, x, out=out)
 
 
 def metropolis_weights(topo: Topology) -> GossipMatrix:

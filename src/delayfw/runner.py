@@ -42,7 +42,7 @@ from .losses import (
     synth_quadratic_stream,
     synth_stream,
 )
-from .metrics import attach_regret, compute_comparator
+from .metrics import attach_regret, compute_comparator, consensus_error
 from .metrics import write_atomic as _write_atomic  # the benchmark's self-check patches this name
 from .network import TOPOLOGY_KINDS, algorithm_constants, metropolis_weights, topology
 
@@ -240,6 +240,8 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
             "zeta_mode" in obj or "zeta" in obj or "K_override" in obj):
         raise ConfigError("zeta_mode/zeta/K_override: only meaningful for "
                           "centralized or distributed mode")
+    if mode != "distributed" and "diagnostics" in obj:
+        raise ConfigError("config.diagnostics: only meaningful in distributed mode")
     if (c["zeta_mode"] == "explicit") != (c["zeta"] is not None):
         raise ConfigError("config.zeta: required with zeta_mode = 'explicit' and only "
                           "meaningful there")
@@ -430,6 +432,8 @@ def run_sweep(cfg: ExperimentConfig, vary: str, values, out_dir=None) -> dict:
         raise ConfigError(f"sweep key must be one of {SWEEP_KEYS}, got '{vary}'")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sweep values must be distinct, got {list(values)}")
     if vary == "dmax":
         grid = [(f"dmax{v}", [("delay", "dmax", v)]) for v in values]
     elif vary == "topology":
@@ -484,8 +488,9 @@ def _f_matrix(values, mean_loss: dict) -> list:
 # -- selftest -----------------------------------------------------------------------
 
 
-def _selftest_network_run():
-    """Instrumented grid run shared by the identity checks: n=9, T=50, K=20."""
+def _selftest_network_run() -> dict:
+    """Grid run (n=9, T=50, K=20) whose observer keeps each identity's worst value:
+    consensus error - C_d/k, mean-tracking gap and mean-recursion gap."""
     n, T, K, dim, dmax = 9, 50, 20, 4, 5
     cset = ConstraintSet("l1_ball", 1.0, dim)
     topo = topology("grid", n, seed=0)
@@ -502,10 +507,22 @@ def _selftest_network_run():
     params = distributed_params(T, g, beta, d,
                                 float(np.mean([s.B for s in schedules])),
                                 a_dist=consts.a_dist, K=K)
-    run = NetworkRun(cset, gossip, params, seed=0, window=dmax, record_details=True)
-    run_rounds(run, stream, schedules)
-    c_d = gossip.k0 * math.sqrt(n) * d
-    return run, params, c_d
+    run = NetworkRun(cset, gossip, params, seed=0, window=dmax)
+    bound = gossip.k0 * math.sqrt(n) * d / np.arange(1, K + 1)  # C_d / k
+    etas = np.array([params.eta(k) for k in range(1, K + 1)])
+    worst = {"consensus": -math.inf, "tracking": 0.0, "recursion": 0.0}
+
+    def observe(t):
+        xbar = run.ring[t % run.window].mean(axis=1)  # (K+1, m) network means
+        step = xbar[:-1] + etas[:, None] * (run.vs.mean(axis=1) - xbar[:-1])
+        for key, gap in (
+                ("consensus", consensus_error(run.ys, xbar[:-1]) - bound),
+                ("tracking", np.linalg.norm(run.ds.mean(axis=1) - run.sums.mean(axis=1), axis=-1)),
+                ("recursion", np.linalg.norm(xbar[1:] - step, axis=-1))):
+            worst[key] = max(worst[key], float(np.max(gap)))
+
+    run_rounds(run, stream, schedules, observe)
+    return worst
 
 
 def _check_doubly_stochastic():
@@ -517,37 +534,6 @@ def _check_doubly_stochastic():
                         float(np.max(np.abs(w.sum(axis=0) - 1.0))),
                         float(np.max(np.abs(w.sum(axis=1) - 1.0))))
     return worst <= 1e-12, f"max row/col sum deviation {worst:.3g} (tol 1e-12)"
-
-
-def _check_consensus(run, params, c_d):
-    worst = -math.inf
-    for t, det in run.details.items():
-        for k in range(1, params.K + 1):
-            xbar = det["subs"][:, k - 1].mean(axis=0)
-            err = float(np.max(np.linalg.norm(det["y"][:, k - 1] - xbar, axis=1)))
-            worst = max(worst, err - c_d / k)
-    return worst <= 1e-12, f"max (error - C_d/k) = {worst:.3g}"
-
-
-def _check_tracking(run, params):
-    worst = 0.0
-    for det in run.details.values():
-        for k in range(params.K):
-            gap = np.linalg.norm(det["d"][:, k].mean(axis=0) - det["s"][:, k].mean(axis=0))
-            worst = max(worst, float(gap))
-    return worst <= 1e-9, f"max mean-tracking gap {worst:.3g} (tol 1e-9)"
-
-
-def _check_mean_recursion(run, params):
-    worst = 0.0
-    for det in run.details.values():
-        for k in range(1, params.K + 1):
-            xbar = det["subs"][:, k - 1].mean(axis=0)
-            vbar = det["v"][:, k - 1].mean(axis=0)
-            eta = params.eta(k)
-            gap = np.linalg.norm(det["subs"][:, k].mean(axis=0) - (xbar + eta * (vbar - xbar)))
-            worst = max(worst, float(gap))
-    return worst <= 1e-12, f"max mean-recursion gap {worst:.3g} (tol 1e-12)"
 
 
 def _check_weight_sum():
@@ -566,13 +552,16 @@ def _check_weight_sum():
 
 def selftest(print_fn=print) -> bool:
     """Run the identity suite; prints one PASS/FAIL line per check."""
-    run, params, c_d = _selftest_network_run()
+    worst = _selftest_network_run()
+    cons, track, rec = worst["consensus"], worst["tracking"], worst["recursion"]
     checks = [
-        ("doubly_stochastic", lambda: _check_doubly_stochastic()),
-        ("consensus_bound", lambda: _check_consensus(run, params, c_d)),
-        ("tracking_average", lambda: _check_tracking(run, params)),
-        ("mean_recursion", lambda: _check_mean_recursion(run, params)),
-        ("weight_sum", lambda: _check_weight_sum()),
+        ("doubly_stochastic", _check_doubly_stochastic),
+        ("consensus_bound", lambda: (cons <= 1e-12, f"max (error - C_d/k) = {cons:.3g}")),
+        ("tracking_average", lambda: (track <= 1e-9,
+                                      f"max mean-tracking gap {track:.3g} (tol 1e-9)")),
+        ("mean_recursion", lambda: (rec <= 1e-12,
+                                    f"max mean-recursion gap {rec:.3g} (tol 1e-12)")),
+        ("weight_sum", _check_weight_sum),
     ]
     all_ok = True
     for name, fn in checks:

@@ -2,7 +2,8 @@
 
 Used by test_golden.py (comparison) and make_golden.py (regeneration).
 Everything here is pinned: exact thetas, schedules, params, and seeds.
-Also holds ``write_schedule_csv``, the file writer for delay-schedule tests.
+Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
+and ``round_recorder``, an observer that copies every round of an engine run.
 """
 
 import numpy as np
@@ -22,6 +23,24 @@ def write_schedule_csv(path, delays) -> None:
     """Write delays in the one-column ``d`` CSV format that schedule_from_csv reads."""
     with open(path, "w") as fh:
         fh.write("d\n" + "".join(f"{int(v)}\n" for v in delays))
+
+
+def round_recorder(run):
+    """An observe callback for ``run_rounds`` and the dict it fills.
+
+    rounds[t] holds copies of round t's arrays, agent-major: "subs" the
+    (n, K+1, m) sub-iterates x, and "v", "y", "d", "s" the (n, K, m) oracle
+    outputs, mixed iterates, tracked gradients and local gradient sums S.
+    Call observe(t) after round t's absorb_round when driving the run by hand.
+    """
+    rounds = {}
+
+    def observe(t):
+        rounds[t] = {key: np.swapaxes(arr, 0, 1).copy() for key, arr in (
+            ("subs", run.ring[t % run.window]), ("v", run.vs), ("y", run.ys),
+            ("d", run.ds), ("s", run.sums))}
+
+    return rounds, observe
 
 
 DELMFW_THETAS = (

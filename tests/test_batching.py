@@ -247,8 +247,8 @@ def test_diagnostics_cost_consensus_calls_only_when_on(monkeypatch, diagnostics)
     params = distributed_params(T, 1.0, 1.0, 2.0, 8.0, a_dist=3.0, K=K)
     consensus = Counter(monkeypatch, de2mfw, "consensus_error")
     trace = de2mfw_run(cset, stream, schedules, topo, params, seed=0, diagnostics=diagnostics)
-    # one consensus and one tracking error per step and round, or none at all
-    assert consensus.calls == (2 * K * T if diagnostics else 0)
+    # one stacked consensus and one tracking call per round, or none at all
+    assert consensus.calls == (2 * T if diagnostics else 0)
     assert (trace.consensus is not None) == diagnostics
     assert (trace.tracking is not None) == diagnostics
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fixtures import round_recorder
 from _reference import meta_fw_run
 from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
                             distributed_params, run_rounds)
@@ -22,7 +23,7 @@ def params_for(K, T=10, zeta=0.5, A=3.0):
     return AlgoParams(T=T, K=K, A=A, zeta=zeta, B_est=1.0)
 
 
-def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None, record_details=False):
+def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None):
     cset = ConstraintSet("l1_ball", 1.0, dim)
     topo = topology(kind, n, seed=seed)
     gossip = metropolis_weights(topo)
@@ -32,13 +33,13 @@ def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None, record_details=
     b_est = float(np.mean([s.B for s in schedules]))
     params = distributed_params(T, G, beta, cset.diameter(), b_est, a_dist=3.0,
                                 K=K or math.ceil(math.sqrt(T)))
-    run = NetworkRun(cset, gossip, params, seed, dmax, record_details=record_details)
+    run = NetworkRun(cset, gossip, params, seed, dmax)
     return cset, topo, gossip, stream, schedules, params, run
 
 
-def drive(run, stream, schedules, T):
+def drive(run, stream, schedules, T, observe=None):
     assert T == run.params.T
-    return run_rounds(run, stream, schedules)
+    return run_rounds(run, stream, schedules, observe)
 
 
 def test_distributed_params():
@@ -86,22 +87,24 @@ def test_single_agent_run_bitwise_equals_centralized():
 
 def test_gossip_step_matches_hand_matrix_product():
     _, _, _, stream, schedules, _, run = network_setup(
-        n=3, T=4, dmax=2, seed=7, kind="grid", record_details=True
+        n=3, T=4, dmax=2, seed=7, kind="grid"
     )
     W = np.array([[2 / 3, 1 / 3, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 1 / 3, 2 / 3]])
-    drive(run, stream, schedules, 4)
+    rounds, observe = round_recorder(run)
+    drive(run, stream, schedules, 4, observe)
     for t in (1, 3):
-        det = run.details[t]
+        det = rounds[t]
         for k in range(det["y"].shape[1]):
             np.testing.assert_allclose(det["y"][:, k], W @ det["subs"][:, k], atol=1e-15)
 
 
 def test_convex_combination_update():
     _, _, _, stream, schedules, params, run = network_setup(
-        n=4, T=3, dmax=2, seed=1, record_details=True
+        n=4, T=3, dmax=2, seed=1
     )
-    drive(run, stream, schedules, 3)
-    det = run.details[2]
+    rounds, observe = round_recorder(run)
+    drive(run, stream, schedules, 3, observe)
+    det = rounds[2]
     for k in range(1, params.K + 1):
         eta = params.eta(k)
         want = (1.0 - eta) * det["y"][:, k - 1] + eta * det["v"][:, k - 1]
@@ -131,11 +134,12 @@ def test_symmetry_on_complete_graph():
 
 def test_tracking_average_identity():
     _, _, _, stream, schedules, params, run = network_setup(
-        n=4, T=12, dmax=4, seed=3, record_details=True
+        n=4, T=12, dmax=4, seed=3
     )
-    drive(run, stream, schedules, 12)
+    rounds, observe = round_recorder(run)
+    drive(run, stream, schedules, 12, observe)
     for t in range(1, 13):
-        det = run.details[t]
+        det = rounds[t]
         for k in range(params.K):
             mean_d = det["d"][:, k].mean(axis=0)
             mean_s = det["s"][:, k].mean(axis=0)
@@ -149,26 +153,28 @@ def test_tracking_first_step_is_local_gradient_sum(n, kind, dmax, seed):
     # S^i_k is agent i's released gradients at x^i_{s,k}, added one by one in origin order
     T = 6
     cset, _, _, stream, schedules, params, run = network_setup(
-        n=n, T=T, dmax=dmax, seed=seed, kind=kind, K=3, record_details=True
+        n=n, T=T, dmax=dmax, seed=seed, kind=kind, K=3
     )
-    drive(run, stream, schedules, T)
+    rounds, observe = round_recorder(run)
+    drive(run, stream, schedules, T, observe)
     for t in range(1, T + 1):
-        det = run.details[t]
+        det = rounds[t]
         for i in range(n):
             want = np.zeros((params.K, cset.dim))
             for s in range(1, t + 1):
                 if s + schedules[i].delay(s) - 1 == t:
-                    want = want + stream.loss(i, s).grad(run.details[s]["subs"][i, :params.K])
+                    want = want + stream.loss(i, s).grad(rounds[s]["subs"][i, :params.K])
             np.testing.assert_array_equal(det["s"][i], want)
 
 
 def test_mean_recursion_identity():
     _, _, _, stream, schedules, params, run = network_setup(
-        n=5, T=8, dmax=3, seed=13, kind="grid", record_details=True
+        n=5, T=8, dmax=3, seed=13, kind="grid"
     )
-    drive(run, stream, schedules, 8)
+    rounds, observe = round_recorder(run)
+    drive(run, stream, schedules, 8, observe)
     for t in range(1, 9):
-        det = run.details[t]
+        det = rounds[t]
         for k in range(1, params.K + 1):
             xbar = det["subs"][:, k - 1].mean(axis=0)
             vbar = det["v"][:, k - 1].mean(axis=0)
@@ -181,17 +187,12 @@ def test_consensus_bound():
     cset, _, gossip, stream, schedules, params, run = network_setup(
         n=6, T=10, dmax=3, seed=21, kind="cycle", K=8
     )
-    decs = drive(run, stream, schedules, 10)
+    rounds, observe = round_recorder(run)
+    decs = drive(run, stream, schedules, 10, observe)
     c_d = gossip.k0 * math.sqrt(6) * cset.diameter()
-    trace_cons = []
-    # re-run with details to read consensus per (t, k)
-    _, _, _, stream2, schedules2, params2, run2 = network_setup(
-        n=6, T=10, dmax=3, seed=21, kind="cycle", K=8, record_details=True
-    )
-    drive(run2, stream2, schedules2, 10)
     for t in range(1, 11):
-        det = run2.details[t]
-        for k in range(1, params2.K + 1):
+        det = rounds[t]
+        for k in range(1, params.K + 1):
             xbar = det["subs"][:, k - 1].mean(axis=0)
             err = np.max(np.linalg.norm(det["y"][:, k - 1] - xbar, axis=1))
             assert err <= c_d / k + 1e-12
@@ -240,9 +241,11 @@ def test_history_persists_until_all_agents_release():
     gossip = metropolis_weights(topology("complete", 2))
     loss = QuadraticLoss([[[0.1, 0.2, 0.3]]])
     for window in (3, 2):
-        run = NetworkRun(L1, gossip, params, seed=4, window=window, record_details=True)
+        run = NetworkRun(L1, gossip, params, seed=4, window=window)
+        rounds, observe = round_recorder(run)
         run.predict_round(1)
         run.absorb_round(1, np.array([[0, 1]]), loss)
+        observe(1)
         for t in (2, 3):
             run.predict_round(t)
         if window == 2:
@@ -250,8 +253,9 @@ def test_history_persists_until_all_agents_release():
                 run.absorb_round(3, np.array([[1, 1]]), loss)
         else:
             run.absorb_round(3, np.array([[1, 1]]), loss)
-            subs = run.details[1]["subs"][1, :2]  # agent 1's x_{1,1..K}
-            np.testing.assert_array_equal(run.details[3]["s"][1], loss.grad(subs)[0])
+            observe(3)
+            subs = rounds[1]["subs"][1, :2]  # agent 1's x_{1,1..K}
+            np.testing.assert_array_equal(rounds[3]["s"][1], loss.grad(subs)[0])
 
 
 def test_absorb_unknown_origin():
@@ -278,6 +282,17 @@ def test_run_deterministic_and_validated():
     wrong_stream = synth_quadratic_stream(seed=1, T=8, dim=3, n_agents=3)
     with pytest.raises(ValueError):
         de2mfw_run(cset, wrong_stream, schedules, topo, params, seed=6)
+
+
+def test_diagnostics_do_not_perturb_the_run():
+    cset, topo, _, stream, schedules, params, _ = network_setup(n=5, T=9, dmax=4, seed=17,
+                                                                kind="grid")
+    on = de2mfw_run(cset, stream, schedules, topo, params, seed=17, diagnostics=True)
+    off = de2mfw_run(cset, stream, schedules, topo, params, seed=17, diagnostics=False)
+    assert np.array_equal(on.decisions, off.decisions)
+    assert np.array_equal(on.inst_loss, off.inst_loss)
+    assert on.consensus.shape == on.tracking.shape == (9, params.K)
+    assert off.consensus is None and off.tracking is None
 
 
 def test_trace_losses_match_manual_average():

@@ -32,8 +32,8 @@ def test_default_params():
 
 
 def test_param_overrides_and_validation():
-    p = centralized_params(T=100, G=1.0, beta=1.0, D=2.0, B_est=7.0, K=3, A=5.0, zeta=0.1)
-    assert (p.K, p.A, p.zeta) == (3, 5.0, 0.1)
+    p = centralized_params(T=100, G=8.0, beta=1.0, D=2.0, B_est=7.0, K=3, zeta=0.1)
+    assert (p.K, p.A, p.zeta) == (3, 4.0, 0.1)  # A = max(3, G/(beta D)) is not overridable
     with pytest.raises(ValueError):
         AlgoParams(T=10, K=0, A=3.0, zeta=0.1, B_est=1.0)
     with pytest.raises(ValueError):

@@ -247,3 +247,19 @@ def test_consensus_error_path_fixture():
     y = np.array([4.0 / 3.0, 2.0, 8.0 / 3.0])
     assert consensus_error(y) == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert consensus_error(y, center=np.array([2.0])) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 6), n=st.integers(1, 7), m=st.integers(1, 12), centered=st.booleans(),
+       seed=st.integers(0, 2**31 - 1), strided=st.booleans())
+def test_consensus_error_stack_equals_slice_calls(K, n, m, centered, seed, strided):
+    rng = np.random.default_rng(seed)
+    # strided: a step-major view of an agent-major array, as the engine hands out
+    stack = rng.normal(size=(n, K, m)).swapaxes(0, 1) if strided else rng.normal(size=(K, n, m))
+    center = rng.normal(size=(K, m)) if centered else None
+    errs = consensus_error(stack, center)
+    assert errs.shape == (K,)
+    for k in range(K):
+        one = consensus_error(stack[k], None if center is None else center[k])
+        assert type(one) is float
+        assert errs[k] == one

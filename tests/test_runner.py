@@ -101,6 +101,15 @@ def test_delayed_agent_count_rules():
         parse(cen)
 
 
+def test_diagnostics_only_in_distributed_mode():
+    for flag in (False, True):
+        assert parse(minimal_distributed(diagnostics=flag)).diagnostics is flag
+    for mode in ("centralized", "baseline_dofw", "baseline_dgd"):
+        with pytest.raises(runner.ConfigError, match="diagnostics"):
+            parse(minimal_centralized(mode=mode, diagnostics=mode != "centralized"))
+        assert parse(minimal_centralized(mode=mode)).diagnostics is True  # the unused default
+
+
 def test_softmax_set_dims():
     obj = minimal_centralized()
     obj["loss"] = {"kind": "softmax_xent", "batch": 2}
@@ -398,6 +407,16 @@ def test_sweep_cells_validated_before_any_run(tmp_path):
     with pytest.raises(runner.ConfigError, match="<= n"):
         runner.run_sweep(cfg, "f", [0, 9], str(tmp_path / "fsw"))
     assert not any(tmp_path.rglob("*_f*"))
+
+
+@pytest.mark.parametrize("vary,values", [("dmax", [3, 3]), ("topology", ["cycle", "grid", "cycle"]),
+                                         ("f", [1, 1])])
+def test_sweep_rejects_duplicate_values(tmp_path, vary, values):
+    # a repeated value would run one cell twice into one directory and duplicate its rows
+    cfg = parse(minimal_distributed())
+    with pytest.raises(runner.ConfigError, match="distinct"):
+        runner.run_sweep(cfg, vary, values, str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
 
 
 # -- cli ----------------------------------------------------------------------------
