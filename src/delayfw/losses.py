@@ -17,6 +17,14 @@ callers batch freely without changing a trace.
 Softmax decisions are vectors of length p*C read as C stacked class blocks
 of length p; the score of class c on feature a is <x_c, a>.  Labels are
 zero-based everywhere.
+
+The softmax kernel is class-major: after the (..., batch, C) logits
+product, every max, exp and sum runs on a (C, ..., batch) copy, so each
+numpy loop walks a long row of samples instead of the short class axis.
+It matches the trailing-axis formulas (kept in tests/_reference.py) bit
+for bit: the max is exact in any order, and the class sums follow numpy's
+own sum(axis=-1) order.  Trace bytes therefore depend on numpy's
+class-sum order, as they already depend on numpy's version.
 """
 
 from __future__ import annotations
@@ -86,29 +94,65 @@ class SoftmaxLoss:
         if x.ndim < 1 or x.shape[-1] != self.dim:
             raise ValueError(f"x has shape {x.shape}, expected (..., {self.dim})")
         blocks = x.reshape(x.shape[:-1] + (self.n_classes, self.p))
-        return self.features @ np.swapaxes(blocks, -1, -2)  # (..., batch, C)
+        return self.features @ blocks.swapaxes(-1, -2)  # (..., batch, C)
 
-    def _onehot(self) -> np.ndarray:
-        # picking the label's logit with a boolean mask adds only zeros, so it is exact
-        return self.labels[..., None] == np.arange(self.n_classes)
+    def _onehot(self, ndim: int) -> np.ndarray:
+        """Class-major (C, ..., batch) label mask for logits of ndim axes."""
+        return np.arange(self.n_classes).reshape((-1,) + (1,) * (ndim - 1)) == self.labels
 
     def value(self, x):
         """f(x): a float when the result is 0-d, else an array of the broadcast shape."""
         z = self._logits(x)
-        zmax = z.max(axis=-1, keepdims=True)
-        lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-        picked = np.where(self._onehot(), z, 0.0).sum(axis=-1)
+        zc = z.transpose(_class_major(z.ndim)).copy()  # (C, ..., batch)
+        zmax = np.maximum.reduce(zc, axis=0)
+        e = zc - zmax
+        lse = zmax + np.log(_class_sum(np.exp(e, out=e)))
+        # picking the label's logit with a boolean mask adds only zeros, so it is exact
+        picked = _class_sum(np.where(self._onehot(z.ndim), zc, 0.0))
         v = (lse - picked).sum(axis=-1)
         return float(v) if v.ndim == 0 else v
 
     def grad(self, x) -> np.ndarray:
         z = self._logits(x)
-        z -= z.max(axis=-1, keepdims=True)
-        probs = np.exp(z)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        probs -= self._onehot()
-        g = np.swapaxes(probs, -1, -2) @ self.features  # (..., C, p)
+        order = _class_major(z.ndim)
+        probs = z.transpose(order).copy()  # (C, ..., batch)
+        probs -= np.maximum.reduce(probs, axis=0)
+        np.exp(probs, out=probs)
+        probs /= _class_sum(probs)
+        probs -= self._onehot(z.ndim)
+        # back into the (..., batch, C) buffer: BLAS rounds the product by its operands' layout
+        z.transpose(order)[...] = probs
+        g = z.swapaxes(-1, -2) @ self.features  # (..., C, p)
         return g.reshape(g.shape[:-2] + (self.dim,))
+
+
+def _class_major(ndim: int) -> tuple:
+    """Axis order that moves the trailing class axis to the front."""
+    return (ndim - 1,) + tuple(range(ndim - 1))
+
+
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a contiguous (C, ...) array, added as numpy's sum(axis=-1) adds C terms.
+
+    numpy adds fewer than 8 terms one by one, 8 to 128 terms in eight
+    interleaved accumulators that are then combined pairwise, and more terms
+    by halving at a multiple of 8.
+    """
+    n = len(rows)
+    if n < 8:
+        return np.add.reduce(rows, axis=0)  # a leading-axis reduce adds whole rows in order
+    if n <= 128:
+        head = n - n % 8
+        # accumulator j adds rows j, j+8, j+16, ... in order
+        acc = np.add.reduce(rows[:head].reshape((-1, 8) + rows.shape[1:]), axis=0)
+        acc = acc[0::2] + acc[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        acc = acc[0::2] + acc[1::2]
+        total = acc[0] + acc[1]
+        for row in rows[head:]:
+            total += row
+        return total
+    half = n // 2 - n // 2 % 8
+    return _class_sum(rows[:half]) + _class_sum(rows[half:])
 
 
 class LossStream:

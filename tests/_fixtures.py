@@ -2,6 +2,8 @@
 
 Used by test_golden.py (comparison) and make_golden.py (regeneration).
 Everything here is pinned: exact thetas, schedules, params, and seeds.
+The softmax fixtures also record the comparator's gap with ``repr``, as
+``runner.run_single`` does, so their bytes pin the loss kernel to the bit.
 Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 and ``round_recorder``, an observer that copies every round of an engine run.
 """
@@ -12,7 +14,7 @@ from delayfw.baselines import dofw_run
 from delayfw.de2mfw import AlgoParams, de2mfw_run, delmfw_run
 from delayfw.delay import DelaySchedule
 from delayfw.geometry import ConstraintSet
-from delayfw.losses import LossStream, QuadraticLoss
+from delayfw.losses import LossStream, QuadraticLoss, synth_stream
 from delayfw.metrics import attach_regret, compute_comparator
 from delayfw.network import topology
 
@@ -92,3 +94,37 @@ def golden_dofw():
     trace = dofw_run(CSET, stream, schedule, eta_reg=DOFW_ETA_REG, seed=0)
     attach_regret(trace, compute_comparator(stream, CSET), stream)
     return trace, stream, schedule
+
+
+SOFTMAX_NET_DELAYS = ((1, 3, 2, 1, 1), (2, 1, 1, 3, 1), (1, 1, 3, 1, 2))
+SOFTMAX_NET_PARAMS = AlgoParams(T=5, K=3, A=3.0, zeta=0.5, B_est=15.0)
+SOFTMAX_CENTRAL_DELAYS = (1, 2, 1, 3, 1)
+SOFTMAX_CENTRAL_PARAMS = AlgoParams(T=5, K=3, A=3.0, zeta=0.5, B_est=8.0)
+
+
+def with_comparator(trace, stream, cset):
+    """Attach regret and the comparator's metadata lines, as runner.run_single writes them."""
+    comparator = compute_comparator(stream, cset)
+    attach_regret(trace, comparator, stream)
+    trace.metadata.update({"comparator_gap": repr(comparator.gap),
+                           "comparator_iterations": comparator.iterations,
+                           "comparator_converged": comparator.converged})
+    return trace
+
+
+def golden_softmax_net():
+    """De2MFW on the 3-agent path with diagnostics, softmax with C = 3, dmax = 3."""
+    stream = synth_stream(7, T=5, p=2, C=3, batch=2, n_agents=3)
+    cset = ConstraintSet("l1_ball", 4.0, stream.dim)
+    schedules = [DelaySchedule(d, dmax=3) for d in SOFTMAX_NET_DELAYS]
+    trace = de2mfw_run(cset, stream, schedules, topology("grid", 3), SOFTMAX_NET_PARAMS, seed=0)
+    return with_comparator(trace, stream, cset), stream, schedules
+
+
+def golden_softmax_central():
+    """Centralized DeLMFW on softmax with C = 9, where numpy's class sum is pairwise."""
+    stream = synth_stream(11, T=5, p=2, C=9, batch=3)
+    cset = ConstraintSet("l1_ball", 4.0, stream.dim)
+    schedule = DelaySchedule(SOFTMAX_CENTRAL_DELAYS, dmax=3)
+    trace = delmfw_run(cset, stream, schedule, SOFTMAX_CENTRAL_PARAMS, seed=0)
+    return with_comparator(trace, stream, cset), stream, schedule

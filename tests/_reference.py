@@ -2,7 +2,9 @@
 
 These re-derive algorithm trajectories with flat, loop-unrolled logic and
 no state objects, buffers or batching, so the library's runs can be
-checked against an independent wiring of the same arithmetic.
+checked against an independent wiring of the same arithmetic.  The
+softmax functions are the loss formulas with every max and sum along the
+trailing class axis; the class-major kernel must match them bit for bit.
 """
 
 import numpy as np
@@ -49,3 +51,32 @@ def meta_fw_run(cset, stream, params, seed, schedule=None):
                 g = g + stream.loss(0, s).grad(subs_of[s][k])
             accums[k] = accums[k] + g
     return decisions, inst
+
+
+def softmax_logits(loss, x):
+    """(..., batch, C) logits of a SoftmaxLoss stack at points x (..., p*C)."""
+    x = np.asarray(x, dtype=np.float64)
+    blocks = x.reshape(x.shape[:-1] + (loss.n_classes, loss.p))
+    return loss.features @ np.swapaxes(blocks, -1, -2)
+
+
+def softmax_value(loss, x):
+    """SoftmaxLoss.value with every max and sum taken along the trailing class axis."""
+    z = softmax_logits(loss, x)
+    onehot = loss.labels[..., None] == np.arange(loss.n_classes)
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    picked = np.where(onehot, z, 0.0).sum(axis=-1)
+    v = (lse - picked).sum(axis=-1)
+    return float(v) if v.ndim == 0 else v
+
+
+def softmax_grad(loss, x):
+    """SoftmaxLoss.grad with every max and sum taken along the trailing class axis."""
+    z = softmax_logits(loss, x)
+    z -= z.max(axis=-1, keepdims=True)
+    probs = np.exp(z)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs -= loss.labels[..., None] == np.arange(loss.n_classes)
+    g = np.swapaxes(probs, -1, -2) @ loss.features  # (..., C, p)
+    return g.reshape(g.shape[:-2] + (loss.dim,))

@@ -11,7 +11,13 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw  # noqa: E402
+from _fixtures import (  # noqa: E402
+    golden_de2mfw,
+    golden_delmfw,
+    golden_dofw,
+    golden_softmax_central,
+    golden_softmax_net,
+)
 
 
 def main():
@@ -19,7 +25,9 @@ def main():
     os.makedirs(out_dir, exist_ok=True)
     for name, build in [("delmfw_t4.csv", golden_delmfw),
                         ("de2mfw_n3.csv", golden_de2mfw),
-                        ("dofw_t3.csv", golden_dofw)]:
+                        ("dofw_t3.csv", golden_dofw),
+                        ("softmax_net_c3.csv", golden_softmax_net),
+                        ("softmax_central_c9.csv", golden_softmax_central)]:
         trace = build()[0]
         path = os.path.join(out_dir, name)
         trace.write_csv(path)

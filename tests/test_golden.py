@@ -3,12 +3,15 @@
 Each fixture is re-derived here with independent inline arithmetic (own LMO,
 own gossip weights, own update loops) and compared to the library run; the
 library's CSV text is then compared byte-for-byte against the committed
-files under tests/golden/.
+files under tests/golden/.  The two softmax fixtures are compared by bytes
+only; their comparator gap is written with repr, so they pin the softmax
+kernel to the last bit.
 """
 
 import os
 
 import numpy as np
+import pytest
 
 from _fixtures import (
     CSET,
@@ -24,6 +27,8 @@ from _fixtures import (
     golden_de2mfw,
     golden_delmfw,
     golden_dofw,
+    golden_softmax_central,
+    golden_softmax_net,
 )
 from delayfw import seeding
 from delayfw.metrics import compute_comparator
@@ -246,4 +251,16 @@ def test_dofw_hand_simulation():
 def test_dofw_golden_bytes():
     trace, _, _ = golden_dofw()
     committed = open(os.path.join(GOLDEN_DIR, "dofw_t3.csv")).read()
+    assert trace.csv_text() == committed
+
+
+# -- fixtures 4 and 5: softmax runs, bytes only ---------------------------------------
+
+
+@pytest.mark.parametrize("name, build", [("softmax_net_c3.csv", golden_softmax_net),
+                                         ("softmax_central_c9.csv", golden_softmax_central)])
+def test_softmax_golden_bytes(name, build):
+    """C = 3 on a network with diagnostics, and C = 9, where numpy sums the classes pairwise."""
+    trace = build()[0]
+    committed = open(os.path.join(GOLDEN_DIR, name)).read()
     assert trace.csv_text() == committed

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _reference import softmax_grad, softmax_value
 
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import (
@@ -70,6 +74,42 @@ def test_softmax_stable_under_large_logits():
     x = np.array([800.0, -800.0])
     assert f.value(x) == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(f.grad(x)))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def kernel_point(rng, kind, shape, p, C):
+    """Points (shape..., p*C): normal, with tied class blocks, or all signed zeros."""
+    if kind == "normal":
+        return rng.normal(scale=3.0, size=shape + (p * C,))
+    if kind == "ties":  # every class block one of two blocks: tied logits and tied maxima
+        pair = rng.normal(scale=3.0, size=shape + (2, p))
+        return pair[..., rng.integers(0, 2, size=C), :].reshape(shape + (p * C,))
+    return np.copysign(0.0, rng.normal(size=shape + (p * C,)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(C=st.one_of(st.integers(1, 20), st.integers(1, 300),
+                   st.sampled_from([7, 8, 9, 127, 128, 129, 136, 144, 257, 300])),
+       p=st.integers(1, 12), batch=st.integers(1, 8), r=st.integers(1, 4), K=st.integers(1, 4),
+       kind=st.sampled_from(["normal", "ties", "zeros"]), seed=st.integers(0, 2**32 - 1))
+def test_softmax_kernel_bitwise_equals_reference(C, p, batch, r, K, kind, seed):
+    """The class-major kernel returns the trailing-axis formulas' bits on every call shape."""
+    rng = np.random.default_rng(seed)
+    stack = SoftmaxLoss(rng.normal(size=(r, batch, p)) * rng.integers(0, 2, size=(r, batch, 1)),
+                        rng.integers(0, C, size=(r, batch)), C)
+    single = stack[0]
+    cases = [(single, kernel_point(rng, kind, (), p, C)),  # one loss at one point
+             (single, kernel_point(rng, kind, (K,), p, C)),
+             (stack[:, None], kernel_point(rng, kind, (r, K), p, C)),  # the engine's gathered call
+             (stack, kernel_point(rng, kind, (r, 1), p, C))]  # average_value's agent slice
+    for loss, x in cases:
+        assert_same_bits(loss.value(x), softmax_value(loss, x))
+        assert_same_bits(loss.grad(x), softmax_grad(loss, x))
 
 
 def test_loss_validation():
