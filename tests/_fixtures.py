@@ -5,7 +5,8 @@ Everything here is pinned: exact thetas, schedules, params, and seeds.
 The softmax fixtures also record the comparator's gap with ``repr``, as
 ``runner.run_single`` does, so their bytes pin the loss kernel to the bit.
 Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
-and ``round_recorder``, an observer that copies every round of an engine run.
+``round_recorder``, an observer that copies every round of an engine run,
+and ``bits``, the bit patterns that bitwise comparisons of float arrays read.
 """
 
 import numpy as np
@@ -25,6 +26,11 @@ def write_schedule_csv(path, delays) -> None:
     """Write delays in the one-column ``d`` CSV format that schedule_from_csv reads."""
     with open(path, "w") as fh:
         fh.write("d\n" + "".join(f"{int(v)}\n" for v in delays))
+
+
+def bits(a):
+    """The uint64 bit patterns of a float64 array, so that -0.0 differs from +0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 def round_recorder(run):

@@ -53,6 +53,23 @@ def meta_fw_run(cset, stream, params, seed, schedule=None):
     return decisions, inst
 
 
+def gossip_fw_round(start, vs, w, etas):
+    """One round of every agent's K gossip-FW steps, from scratch.
+
+    start is the (n, m) start vertex, vs the (K, n, m) oracle outputs, w the
+    (n, n) gossip matrix and etas the K step sizes.  Returns the (K+1, n, m)
+    sub-iterates x_{t,1..K+1} and the (K, n, m) mixed iterates y_{t,1..K}.
+    """
+    x = np.asarray(start, dtype=np.float64)
+    subs, ys = [x], []
+    for k in range(len(vs)):
+        y = w @ x if len(w) > 1 else x  # W = [1] is the identity, -0.0 included
+        x = (1.0 - etas[k]) * y + etas[k] * vs[k]
+        subs.append(x)
+        ys.append(y)
+    return np.array(subs), np.array(ys)
+
+
 def softmax_logits(loss, x):
     """(..., batch, C) logits of a SoftmaxLoss stack at points x (..., p*C)."""
     x = np.asarray(x, dtype=np.float64)

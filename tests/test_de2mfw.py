@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import round_recorder
-from _reference import meta_fw_run
+from _fixtures import bits, round_recorder
+from _reference import gossip_fw_round, meta_fw_run
 from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
                             distributed_params, run_rounds)
-from delayfw.delay import gen_delays
-from delayfw.geometry import ConstraintSet
+from delayfw.delay import DelaySchedule, gen_delays
+from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream
-from delayfw.network import metropolis_weights, topology
+from delayfw.network import GossipMatrix, metropolis_weights, topology
 
 L1 = ConstraintSet("l1_ball", 1.0, 3)
 
@@ -229,6 +229,122 @@ def test_neighbor_information_flows_to_empty_agents():
     # K = 1: bank row i is agent i's only oracle
     assert np.linalg.norm(run.bank.accum[1]) > 0.0
     assert np.linalg.norm(run.bank.accum[2]) > 0.0
+
+
+# -- repeated prefix of a round's steps ---------------------------------------------
+
+
+def start_of(run):
+    """The (n, m) start vertex x^i_{t,1} of every agent."""
+    return np.tile(run.cset.lmo(np.zeros(run.cset.dim)), (run.n, 1))
+
+
+def etas_of(params):
+    return [params.eta(k) for k in range(1, params.K + 1)]
+
+
+def repeated_prefix(prev, vs):
+    """How many leading steps of vs (K, n, m) repeat prev's outputs bit for bit."""
+    j = 0
+    while j < len(vs) and np.array_equal(bits(prev[j]), bits(vs[j])):
+        j += 1
+    return j
+
+
+def count_mixes(monkeypatch):
+    """Record every GossipMatrix.mix call from now on; returns the list of calls."""
+    calls, mix = [], GossipMatrix.mix
+    monkeypatch.setattr(GossipMatrix, "mix", lambda g, x, out=None: calls.append(1) or mix(g, x, out))
+    return calls
+
+
+def scripted_run(n, K, window, outputs):
+    """A complete-graph run whose bank answers round t with outputs[t-1], (n*K, m) each."""
+    gossip = metropolis_weights(topology("complete", n))
+    run = NetworkRun(L1, gossip, params_for(K=K, T=len(outputs)), seed=0, window=window)
+    run.bank.query = iter(outputs).__next__
+    return run
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), K=st.integers(1, 8), T=st.integers(1, 12),
+       kind=st.sampled_from(KINDS), wide=st.booleans(), zeta=st.sampled_from([1e-3, 0.1, 2.0]),
+       data=st.data(), seed=st.integers(0, 2**16))
+def test_every_round_equals_a_straight_line_round(n, K, T, kind, wide, zeta, data, seed):
+    # window 1 (every delay 1) reuses the slot it writes; a wider ring copies from slot t-1
+    dmax = data.draw(st.integers(1, T)) if wide else 1
+    cset = ConstraintSet(kind, 1.0, 3)
+    stream = synth_quadratic_stream(seed=seed + 1, T=T, dim=3, n_agents=n, scale=0.7)
+    schedules = [gen_delays(T, dmax, seed=seed + 2 + i) for i in range(n)]
+    params = AlgoParams(T=T, K=K, A=3.0, zeta=zeta, B_est=1.0)
+    gossip = metropolis_weights(topology("cycle", n))
+    run = NetworkRun(cset, gossip, params, seed, window=dmax + 1 if wide else 1)
+    start, etas = start_of(run), etas_of(params)
+
+    def observe(t):
+        subs, ys = gossip_fw_round(start, run.vs, gossip.w, etas)
+        assert np.array_equal(bits(run.ring[t % run.window]), bits(subs))
+        assert np.array_equal(bits(run.ys), bits(ys))
+
+    decisions = run_rounds(run, stream, schedules, observe)
+    if n == 1:
+        ref_dec, _ = meta_fw_run(cset, stream, params, seed, schedules[0])
+        assert np.array_equal(bits(decisions[:, 0]), bits(ref_dec))
+
+
+def test_gossip_mixes_skip_the_repeated_prefix(monkeypatch):
+    # releases only at rounds 8, 16 and 24: absorb_round mixes K times every
+    # round, predict_round only for the steps after the repeated prefix j_t
+    T, K, n = 24, 5, 3
+    delays = [8 * math.ceil(s / 8) - s + 1 for s in range(1, T + 1)]
+    schedules = [DelaySchedule(delays, dmax=8)] * n
+    stream = synth_quadratic_stream(seed=3, T=T, dim=3, n_agents=n, scale=0.7)
+    gossip = metropolis_weights(topology("cycle", n))
+    run = NetworkRun(L1, gossip, params_for(K=K, T=T), seed=3, window=8)
+    prefixes, last = [], []
+
+    def observe(t):
+        prefixes.append(repeated_prefix(last[-1], run.vs) if last else 0)
+        last.append(run.vs.copy())
+
+    calls = count_mixes(monkeypatch)
+    run_rounds(run, stream, schedules, observe)
+    assert len(calls) == K * T + sum(K - j for j in prefixes)
+    assert len(calls) < 2 * K * T
+    assert any(0 < j < K for j in prefixes)  # a partial prefix is reused too
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_sign_of_zero_ends_the_repeated_prefix(monkeypatch, j):
+    K, n = 4, 2
+    first = L1.lmo_batch(np.random.default_rng(j).uniform(-1.0, 1.0, (n * K, 3)))
+    second = first.copy()
+    row = K + j  # agent 1's oracle j + 1
+    second[row, np.flatnonzero(second[row] == 0.0)[0]] = -0.0  # equal under ==
+    assert np.array_equal(first, second)
+    run = scripted_run(n, K, 2, [first, second])
+    calls = count_mixes(monkeypatch)
+    run.predict_round(1)
+    run.predict_round(2)
+    assert len(calls) == K + (K - j)
+    want, _ = gossip_fw_round(start_of(run), second.reshape(n, K, 3).swapaxes(0, 1),
+                              run.gossip.w, etas_of(run.params))
+    assert np.array_equal(bits(run.ring[0]), bits(want))
+
+
+def test_first_round_computes_every_step(monkeypatch):
+    K, n = 3, 2
+    outputs = [L1.lmo_batch(np.random.default_rng(1).uniform(-1.0, 1.0, (n * K, 3)))] * 2
+    run = scripted_run(n, K, 2, outputs)
+    run.ring[:] = np.nan  # no earlier round to copy from
+    calls = count_mixes(monkeypatch)
+    run.predict_round(1)
+    assert len(calls) == K
+    want, _ = gossip_fw_round(start_of(run), run.vs, run.gossip.w, etas_of(run.params))
+    assert np.array_equal(bits(run.ring[1]), bits(want))
+    run.predict_round(2)  # every output repeats: nothing is mixed
+    assert len(calls) == K
+    assert np.array_equal(bits(run.ring[0]), bits(want))
 
 
 # -- bookkeeping --------------------------------------------------------------------

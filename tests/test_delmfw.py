@@ -11,7 +11,8 @@ from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, estimate_constants, synth_quadratic_stream
 from delayfw.network import metropolis_weights, topology
 
-from _reference import meta_fw_run
+from _fixtures import bits
+from _reference import gossip_fw_round, meta_fw_run
 
 L1 = ConstraintSet("l1_ball", 1.0, 2)
 
@@ -124,6 +125,44 @@ def test_predict_feasible_and_stores_history():
         np.testing.assert_array_equal(ring_subs(state, t)[-1], x)
         x[:] = 9.0  # the played decision is a copy, not a view of the ring
         assert all(cset.contains(s, tol=1e-9) for s in ring_subs(state, t))
+
+
+def round_from_scratch(state, vs):
+    """x_{t,1..K+1} of the one agent for (K, 1, m) oracle outputs vs."""
+    start = state.cset.lmo(np.zeros(state.cset.dim))[None]
+    etas = [state.params.eta(k) for k in range(1, state.params.K + 1)]
+    return gossip_fw_round(start, vs, state.gossip.w, etas)[0][:, 0]
+
+
+def test_window_one_reuses_its_own_slot():
+    # one slot: round t-1's sub-iterates are read from the slot round t writes
+    K = 5
+    first = L1.lmo_batch(np.random.default_rng(4).uniform(-1.0, 1.0, (K, 2)))
+    second = first.copy()
+    second[2] = -second[2]  # steps 1-2 repeat, steps 3-5 are recomputed
+    outputs = [first, first, second, second, first]
+    state = central_run(L1, params_for(K=K, T=len(outputs)), seed=0, window=1)
+    state.bank.query = iter(outputs).__next__
+    for t, vs in enumerate(outputs, start=1):
+        x = state.predict_round(t)[0]
+        want = round_from_scratch(state, vs[:, None])
+        assert np.array_equal(bits(ring_subs(state, t)), bits(want))
+        assert np.array_equal(bits(x), bits(want[-1]))
+
+
+def test_bank_written_between_rounds_is_recomputed():
+    # nothing is fed between the rounds, but the oracle outputs change
+    state = central_run(L1, params_for(K=3), seed=2)
+    state.predict_round(1)
+    v1 = state.bank.query()
+    state.bank.accum[1] = 5.0 * v1[1]  # oracle 2 now answers -v1[1]
+    v2 = state.bank.query()
+    assert state.bank.feedback_count == 0
+    np.testing.assert_array_equal(v2[1], -v1[1])
+    x = state.predict_round(2)[0]
+    want = round_from_scratch(state, v2[:, None])
+    assert np.array_equal(bits(ring_subs(state, 2)), bits(want))
+    assert np.array_equal(bits(x), bits(want[-1]))
 
 
 # -- absorb ---------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -436,6 +438,17 @@ def test_cli_validate_and_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "seed 0" in out and "summary" in out
     assert os.path.exists(tmp_path / "o" / "summary.csv")
+
+
+def test_python_m_delayfw_is_the_cli(tmp_path, capsys, monkeypatch):
+    # python -m delayfw works without the installed console script
+    for obj, code in ((minimal_centralized(), 0), (minimal_centralized(bogus=True), 1)):
+        monkeypatch.setattr(sys, "argv", ["delayfw", "validate", "--config",
+                                          write_cfg(tmp_path, obj)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("delayfw", run_name="__main__")
+        assert exc.value.code == code
+    assert "ok" in capsys.readouterr().out
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):
