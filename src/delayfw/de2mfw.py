@@ -43,7 +43,9 @@ round, so a round reuses the longest prefix of steps whose outputs equal
 the previous round's bit for bit, for every agent, and runs the recursion
 only from the first step that differs.  The reuse is exact: step k reads
 only the start vertex, x_{t,k} and v_{t,k}, and identical inputs through
-identical numpy operations give identical bits.
+identical numpy operations give identical bits.  A one-agent round that
+releases nothing leaves the bank untouched, so the next round is a quiet
+round: it makes no query and copies the previous round's sub-iterates whole.
 
 A run keeps its latest round's arrays (x, v, y, S, d) until the next round
 replaces them.  The round loop's one optional observe(t) callback reads
@@ -128,7 +130,11 @@ class NetworkRun:
     (K, n, m) arrays or views, never copies, valid until the next round:
     vs and ys (oracle outputs v, mixed iterates y) from predict_round, sums
     (S) and ds (d) from absorb_round.  With one agent an empty release set
-    leaves the bank untouched, as there is nothing to exchange.
+    leaves the bank untouched, as there is nothing to exchange, and the next
+    predict_round reuses the previous round whole: no query, no comparison,
+    and vs stays the previous round's.  That rule keys only on what
+    absorb_round did, so a bank written between rounds by hand is still
+    queried.
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
@@ -148,6 +154,7 @@ class NetworkRun:
         self._keep = (1.0 - self._etas).tolist()  # 1 - eta_k
         self._mixed = np.empty((K, n, cset.dim))  # the ys of every round when n > 1
         self._predicted = 0
+        self._quiet = False  # the last absorb_round left the bank untouched
         self.vs = self.ys = self.sums = self.ds = None
 
     def predict_round(self, t: int) -> np.ndarray:
@@ -157,15 +164,22 @@ class NetworkRun:
         every agent are not rerun: step k reads only x_{t,k} and v_{t,k}, so
         x_{t,2..j+1} are copied from round t-1's ring slot and ys[:j] kept.
         Bit patterns, not ==, are compared: -0.0 and +0.0 print differently.
+        After a quiet round (the last absorb_round fed nothing) the bank
+        would answer as before, so the round copies round t-1's slot whole
+        without a query; vs stays round t-1's.
         Callers must not write the previous round's vs or ring slot.
         """
         if t != self._predicted + 1:
             raise ValueError(f"predict_round({t}) out of order; next round is {self._predicted + 1}")
         self._predicted = t
+        quiet, self._quiet = self._quiet, False
         K, n, m = self.params.K, self.n, self.cset.dim
-        vs = self.bank.query().reshape(n, K, m)
-        steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
         subs = self.ring[t % self.window]  # x^i_{t,k}, written in place step by step
+        if quiet:
+            subs[:] = self.ring[(t - 1) % self.window]  # same slot at window 1
+            self.ys = subs[:K]  # quiet rounds have n = 1: y = x
+            return subs[K].copy()
+        vs = self.bank.query().reshape(n, K, m)
         subs[0] = self._start
         ys = self._mixed if n > 1 else subs[:K]  # W = [1] mixes exactly: y = x
         j = 0  # steps 1..j repeat round t-1 exactly
@@ -173,6 +187,8 @@ class NetworkRun:
             same = vs.view(np.uint64) == self.vs.swapaxes(0, 1).view(np.uint64)
             j = int(np.logical_and.accumulate(same.all(axis=(0, 2))).sum())
             subs[1:j + 1] = self.ring[(t - 1) % self.window, 1:j + 1]  # same slot at window 1
+        if j < K:
+            steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
         for k in range(j, K):
             if n > 1:
                 self.gossip.mix(subs[k], out=ys[k])
@@ -208,7 +224,8 @@ class NetworkRun:
                 ds[:, k] = self.gossip.mix(G)
                 if k + 1 < K:
                     G = sums[k + 1] + (ds[:, k] - sums[k])
-        if n > 1 or len(rows):
+        self._quiet = n == 1 and not len(rows)
+        if not self._quiet:
             self.bank.feedback(ds.reshape(n * K, m))
         self.sums, self.ds = sums, ds.swapaxes(0, 1)
 
