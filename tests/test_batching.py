@@ -213,8 +213,12 @@ def test_delmfw_one_lmo_call_per_round(monkeypatch):
     query = Counter(monkeypatch, FtplOracle, "query")
     grad = Counter(monkeypatch, QuadraticLoss, "grad")
     delmfw_run(cset, stream, schedule, params, seed=1)
-    assert query.calls == T
-    assert lmo.calls == T + 1  # plus the start vertex, computed once per run
+    # round 1 queries, and so does each round after one that fed the bank;
+    # a round after a round without releases reuses the previous round whole
+    due = np.arange(1, T + 1) + schedule.d - 1
+    assert query.calls == 1 + np.unique(due[due < T]).size
+    assert query.calls < T
+    assert lmo.calls == query.calls + 1  # plus the start vertex, computed once per run
     # one gathered call per round with a non-empty release set, all K at once
     assert grad.calls == rounds_with_releases([schedule], T)
     assert grad.calls < released_by_end(schedule, T)  # fewer than one per released loss
