@@ -347,6 +347,37 @@ def test_first_round_computes_every_step(monkeypatch):
     assert np.array_equal(bits(run.ring[0]), bits(want))
 
 
+def test_quiet_rounds_copy_the_previous_round_without_a_query():
+    # one agent, releases only at rounds 8, 16 and 24 (rounds 25-28 report
+    # after T): round 1 and each round after a release query the bank, and
+    # every other round copies round t-1's ring slot whole
+    T, K = 28, 5
+    delays = [8 * math.ceil(s / 8) - s + 1 for s in range(1, 25)] + [8] * 4
+    schedule = DelaySchedule(delays, dmax=8)
+    stream = synth_quadratic_stream(seed=3, T=T, dim=3, scale=0.7)
+    params = params_for(K=K, T=T)
+    run = NetworkRun(L1, metropolis_weights(topology("complete", 1)), params, seed=3, window=8)
+    queries, query = [], run.bank.query
+    run.bank.query = lambda: queries.append(1) or query()
+    start, etas = start_of(run), etas_of(params)
+    queried = []
+
+    def observe(t):
+        if len(queries) == len(queried) + 1:
+            queried.append(t)
+        slot = run.ring[t % run.window]
+        subs, ys = gossip_fw_round(start, run.vs, run.gossip.w, etas)
+        assert np.array_equal(bits(slot), bits(subs))
+        assert np.array_equal(bits(run.ys), bits(ys))
+        assert np.shares_memory(run.ys, slot)  # y = x in round t's own slot
+        assert not np.shares_memory(run.ys, run.ring[(t - 1) % run.window])
+
+    decisions = run_rounds(run, stream, [schedule], observe)
+    assert queried == [1, 9, 17, 25]
+    want, _ = meta_fw_run(L1, stream, params, 3, schedule)
+    assert np.array_equal(bits(decisions[:, 0]), bits(want))
+
+
 # -- bookkeeping --------------------------------------------------------------------
 
 
