@@ -25,6 +25,9 @@ from .geometry import ConstraintSet
 from .losses import LossStream
 
 
+_BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses call
+
+
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
@@ -184,13 +187,23 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
 def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.ndarray:
     """(T, n) matrix of F_t(x^i_t) for distributed decisions (T, n, m).
 
-    One stacked F_t evaluation per round, at all n decisions at once: T
-    loss-value calls in all.
+    One stacked value call per block of rounds, at all n decisions of each
+    round against that round's n losses.  A round broadcasts n*n losses'
+    data (theta, or softmax features); a block holds as many rounds as keep
+    that near _BLOCK_FLOATS floats, and at least one.  The agents are added
+    in order, as LossStream.average_value adds them, so every entry equals
+    its average_value call bit for bit.
     """
     T, n = decisions.shape[0], decisions.shape[1]
+    losses = stream.losses
+    data = losses.theta if stream.kind == "quadratic" else losses.features
+    rounds = max(1, _BLOCK_FLOATS // (n * data[:, 0].size))  # n points against n losses
     out = np.empty((T, n))
-    for t in range(1, T + 1):
-        out[t - 1] = stream.average_value(decisions[t - 1], t)
+    for lo in range(0, T, rounds):
+        hi = min(lo + rounds, T)
+        # points (n, 1, rounds, m) against losses (n, rounds): values (point, agent, round)
+        vals = losses[:, lo:hi].value(decisions[lo:hi].swapaxes(0, 1)[:, None])
+        out[lo:hi] = (np.add.accumulate(vals, axis=1)[:, -1] / stream.n_agents).T
     return out
 
 

@@ -6,12 +6,15 @@ result is bitwise equal to the row-by-row computation; these properties
 check it, and the counting tests keep the batching from quietly regressing.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayfw import de2mfw, seeding
+from _fixtures import bits
+from delayfw import de2mfw, metrics, seeding
 from delayfw.de2mfw import NetworkRun, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from delayfw.delay import gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
@@ -257,19 +260,56 @@ def test_diagnostics_cost_consensus_calls_only_when_on(monkeypatch, diagnostics)
     assert (trace.tracking is not None) == diagnostics
 
 
+def round_blocks(stream, T):
+    """How many blocks of rounds per_agent_global_losses evaluates: n*n losses' data a round."""
+    f, n = stream.losses, stream.n_agents
+    per_loss = f.theta.shape[-1] if stream.kind == "quadratic" else f.features[0, 0].size
+    rounds = max(1, metrics._BLOCK_FLOATS // (n * n * per_loss))
+    return -(-T // rounds)
+
+
+def assert_per_agent_losses_bitwise(stream, decisions):
+    """Every (t, i) entry equals the average_value call at that one decision."""
+    out = per_agent_global_losses(stream, decisions)
+    T, n = decisions.shape[:2]
+    assert out.shape == (T, n)
+    for t in range(1, T + 1):
+        for i in range(n):
+            assert bits(out[t - 1, i]) == bits(stream.average_value(decisions[t - 1, i], t))
+
+
 @pytest.mark.parametrize("loss", ["quadratic", "softmax"])
-def test_per_agent_losses_make_one_value_call_per_round(monkeypatch, loss):
-    n, T = 6, 7
+def test_per_agent_losses_make_one_value_call_per_block(monkeypatch, loss):
+    # 12 agents: 14 quadratic or 37 softmax rounds a block, so 3 blocks either way
+    n = 12
     if loss == "quadratic":
-        stream, cls = synth_quadratic_stream(seed=0, T=T, dim=4, n_agents=n), QuadraticLoss
+        T, cls = 30, QuadraticLoss
+        stream = synth_quadratic_stream(seed=0, T=T, dim=16, n_agents=n)
     else:
-        stream, cls = synth_stream(0, T, p=3, C=2, batch=2, n_agents=n), SoftmaxLoss
+        T, cls = 80, SoftmaxLoss
+        stream = synth_stream(0, T, p=3, C=2, batch=2, n_agents=n)
     decisions = np.random.default_rng(0).normal(size=(T, n, stream.dim))
     value = Counter(monkeypatch, cls, "value")
-    out = per_agent_global_losses(stream, decisions)
-    assert value.calls == T  # one stacked call over the round's agents and points
-    assert out.shape == (T, n)
-    assert out[T - 1, n - 1] == stream.average_value(decisions[T - 1, n - 1], T)
+    per_agent_global_losses(stream, decisions)
+    assert value.calls == round_blocks(stream, T) == 3
+    assert_per_agent_losses_bitwise(stream, decisions)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["quadratic", "softmax"]), n=st.integers(1, 12),
+       T=st.integers(1, 12), block=st.sampled_from([1, 40, 300, metrics._BLOCK_FLOATS]),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_agent_losses_bitwise_equal_average_value(kind, n, T, block, seed):
+    # n up to 12 crosses 8, where a pairwise np.sum over agents would round
+    # differently; a small block size splits the rounds into several calls
+    stream, cls = stream_of(kind, seed, T, n)
+    decisions = np.random.default_rng(seed).normal(scale=2.0, size=(T, n, stream.dim))
+    with mock.patch.object(metrics, "_BLOCK_FLOATS", block):
+        calls, value = [], cls.value
+        with mock.patch.object(cls, "value", lambda f, x: calls.append(1) or value(f, x)):
+            per_agent_global_losses(stream, decisions)
+        assert len(calls) == round_blocks(stream, T)
+        assert_per_agent_losses_bitwise(stream, decisions)
 
 
 def stream_of(kind, seed, T, n):
