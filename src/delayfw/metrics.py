@@ -109,23 +109,6 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def read_trace_csv(path) -> tuple:
-    """Parse a trace CSV back into (metadata dict, column dict of arrays)."""
-    meta, header, rows = {}, None, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key] = val
-            elif header is None:
-                header = line.split(",")
-            elif line:
-                rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows)
-    return meta, {name: data[:, i] for i, name in enumerate(header)}
-
-
 # -- comparator ----------------------------------------------------------------
 
 

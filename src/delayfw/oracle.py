@@ -9,9 +9,9 @@ LMO on its perturbed accumulated feedback::
 with ``noise_r`` drawn once from Uniform[0,1]^m at construction.  A
 prediction depends on history only through that sum, so the N queries of a
 bank are one batched LMO call.  A single oracle is a bank with N = 1.
-Fixing the perturbation keeps every run deterministic; claims about the
-*expected* prediction over the noise distribution are checked through
-:func:`ftpl_query_expected`.
+Fixing the perturbation keeps every run deterministic; the tests check
+claims about the *expected* prediction over the noise distribution by
+Monte-Carlo averages of the same LMO.
 
 The learning rate ``zeta`` is always supplied by the caller — the algorithm
 layer tunes it from quantities (total delay, horizon) an oracle cannot see.
@@ -22,8 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ConstraintSet
-
-_MC_CHUNK = 16384
 
 
 class FtplOracle:
@@ -71,27 +69,3 @@ class FtplOracle:
             raise ValueError("non-finite entries in feedback")
         self.accum = self.accum + g
         self.feedback_count += 1
-
-
-def ftpl_query_expected(cset: ConstraintSet, zeta: float, accum, samples: int, seed) -> np.ndarray:
-    """Monte-Carlo estimate of the noise-averaged FTPL prediction.
-
-    Averages ``lmo(zeta * accum + n)`` over ``samples`` independent
-    Uniform[0,1]^m noise draws.  Deterministic given the seed; sampling is
-    chunked so large sample counts stay within a bounded memory footprint.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    accum = np.asarray(accum, dtype=np.float64)
-    if accum.shape != (cset.dim,):
-        raise ValueError(f"accum has shape {accum.shape}, expected ({cset.dim},)")
-    rng = np.random.default_rng(seed)
-    base = zeta * accum
-    total = np.zeros(cset.dim)
-    done = 0
-    while done < samples:
-        k = min(_MC_CHUNK, samples - done)
-        noise = rng.uniform(size=(k, cset.dim))
-        total += cset.lmo_batch(base[None, :] + noise).sum(axis=0)
-        done += k
-    return total / samples

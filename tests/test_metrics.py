@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fixtures import read_trace_csv
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, synth_quadratic_stream, synth_stream
 from delayfw.metrics import (
@@ -16,7 +17,6 @@ from delayfw.metrics import (
     compute_comparator,
     consensus_error,
     per_agent_global_losses,
-    read_trace_csv,
     regret,
 )
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from delayfw.geometry import ConstraintSet
-from delayfw.oracle import FtplOracle, ftpl_query_expected
+from _reference import ftpl_query_expected
+from delayfw.oracle import FtplOracle
 
 L1 = ConstraintSet("l1_ball", 1.0, 2)
 

@@ -12,10 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from _fixtures import write_schedule_csv
+from _fixtures import read_trace_csv, write_schedule_csv
 from delayfw import cli, runner
 from delayfw.delay import DelaySchedule
-from delayfw.metrics import read_trace_csv
 
 
 def minimal_centralized(**over):
