@@ -75,7 +75,7 @@ class ConstraintSet:
         """Vectorized ``lmo`` over the rows of a 2-D array.
 
         Row r of the result is bitwise equal to ``lmo(z[r])``.  Oracle banks
-        answer all their queries of a round with one call, and the
+        answer all their queries of a round with one call, and the tests'
         Monte-Carlo estimator of expected oracle outputs samples through it.
         """
         z = np.asarray(z, dtype=np.float64)
