@@ -56,11 +56,11 @@ class DelaySchedule:
 def schedule_from_csv(path, dmax: int | None = None) -> DelaySchedule:
     """Load a user-supplied (possibly adversarial) schedule from CSV.
 
-    The file holds one integer per row under a ``d`` header.  When dmax is
-    omitted it is taken as the largest delay present.
+    The file holds one integer per row under a ``d`` header; blank lines are
+    skipped.  When dmax is omitted it is taken as the largest delay present.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
     if not rows or rows[0] != ["d"]:
         raise ValueError(f"{path}: expected a single-column CSV with header 'd'")
     try:

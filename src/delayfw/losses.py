@@ -261,19 +261,19 @@ def synth_quadratic_stream(seed, T: int, dim: int, n_agents: int = 1, scale: flo
 def csv_ingest(path, batch: int, T: int, n_agents: int = 1, n_classes: int | None = None) -> LossStream:
     """Build a softmax stream from a `label,f1,...,fp` CSV.
 
-    Rows are consumed in file order and dealt round-robin to agents; each
-    agent's rows are grouped into per-round batches.  When the file runs out
-    before T rounds are filled, reading wraps to the first row.
+    Rows are consumed in file order, blank lines skipped, and dealt round-robin
+    to agents; each agent's rows are grouped into per-round batches.  When the
+    file runs out before T rounds are filled, reading wraps to the first row.
     """
     if min(batch, T, n_agents) < 1:
         raise ValueError("batch, T, n_agents must all be >= 1")
     with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
+        rows = [(lineno, r) for lineno, r in enumerate(_csv.reader(fh), start=1) if r]
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header and at least one data row")
-    width = len(rows[1])
+    width = len(rows[1][1])
     labels, feats = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != width:
             raise ValueError(f"{path}:{lineno}: inconsistent width {len(row)} != {width}")
         try:

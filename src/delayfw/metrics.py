@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,9 +95,13 @@ class RunTrace:
 
 
 def write_atomic(path, text: str) -> None:
-    """Write text atomically: temp file in the target directory, then rename."""
+    """Write text atomically: temp file in the target directory, then rename.
+
+    The file gets mode 0o666 less the umask, as open() would create it.
+    """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -35,6 +35,7 @@ TOPOLOGY_KINDS = ("complete", "cycle", "grid", "erdos_renyi")
 
 A_CAP = 1e12
 _FP_MAX_ITERS = 100
+ER_MAX_ATTEMPTS = 1000  # erdos_renyi draws before giving up
 
 
 def grid_shape(n: int) -> tuple:
@@ -97,8 +98,8 @@ def topology(kind: str, n: int, p: float = 0.3, seed: int = 0) -> Topology:
     """Build one of the four named topologies.
 
     erdos_renyi draws each edge with probability p and re-draws with the
-    seed incremented until the graph is connected; the attempt count is
-    recorded on the result.
+    seed incremented until the graph is connected, at most ER_MAX_ATTEMPTS
+    times; the attempt count is recorded on the result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -123,14 +124,14 @@ def topology(kind: str, n: int, p: float = 0.3, seed: int = 0) -> Topology:
     elif kind == "erdos_renyi":
         if not 0.0 < p <= 1.0:
             raise ValueError(f"edge probability must be in (0, 1], got {p}")
-        attempt = 0
-        while True:
-            attempt += 1
+        for attempt in range(1, ER_MAX_ATTEMPTS + 1):
             rng = np.random.default_rng(seed + attempt - 1)
             mask = rng.random((n, n)) < p
             edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j])
             if _connected(n, edges):
                 return Topology("erdos_renyi", n, edges, p=p, seed=seed, attempts=attempt)
+        raise ValueError(f"erdos_renyi: no connected graph on n = {n} nodes with p = {p} "
+                         f"in {ER_MAX_ATTEMPTS} draws")
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
     return Topology(kind, n, edges)

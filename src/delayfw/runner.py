@@ -80,8 +80,9 @@ CONFIG_KEYS = {
         "zeta": (float, None, _POSITIVE),
         "K_override": (int, None, _AT_LEAST_1),
         "diagnostics": (bool, True, None),
-        "seeds": (list, REQUIRED, (lambda v: v and all(type(s) is int and s >= 0 for s in v),
-                                   "a nonempty list of non-negative ints")),
+        "seeds": (list, REQUIRED, (
+            lambda v: v and all(type(s) is int and s >= 0 for s in v) and len(set(v)) == len(v),
+            "a nonempty list of distinct non-negative ints")),
         "output": (str, None, None),
     },
     "set": {
@@ -152,36 +153,26 @@ def _read(obj: dict, section: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, normalized experiment description."""
+    """The checked config under CONFIG_KEYS["config"]'s key names, each section a
+    dict with its defaults filled in ("auto" constants are None, loss.batch
+    defaults to 1, delay.schedule holds n paths), plus the set's dim (p*C for
+    softmax losses) and n_agents (topology.n, or 1)."""
 
     mode: str
     T: int
-    set_kind: str
-    radius: float
-    dim: int
-    p_features: int | None
-    n_classes: int | None
-    loss_kind: str
-    loss_data: str
-    batch: int
-    loss_seed: int
-    delay_dmax: int | None
-    delay_schedule: tuple | None
-    delay_seed: int
-    delayed_agent_count: int | None
-    topo_kind: str | None
-    n_agents: int
-    topo_p: float
-    topo_seed: int
-    g_const: float | None
-    beta_const: float | None
-    d_const: float | None
+    set: dict
+    loss: dict
+    delay: dict
+    topology: dict | None
+    constants: dict
     zeta_mode: str
-    zeta_explicit: float | None
-    k_override: int | None
+    zeta: float | None
+    K_override: int | None
     diagnostics: bool
     seeds: tuple
     output: str | None
+    dim: int
+    n_agents: int
     raw: dict = field(compare=False, repr=False)
 
     def sha256(self) -> str:
@@ -212,11 +203,11 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         dim = cset["p"] * cset["C"]
         if cset["dim"] not in (None, dim):
             raise ConfigError(f"set.dim: must equal p*C = {dim}, got {cset['dim']}")
+    loss["batch"] = loss["batch"] or 1
 
     if (mode == "distributed") != (c["topology"] is not None):
         raise ConfigError("topology: required in distributed mode and only meaningful there")
-    topo = c["topology"] or {"kind": None, "n": 1, "p": 0.3, "seed": 0}
-    n_agents = topo["n"]
+    n_agents = c["topology"]["n"] if c["topology"] else 1
 
     if (delay["dmax"] is None) == (delay["schedule"] is None):
         raise ConfigError("delay: exactly one of 'dmax' and 'schedule' is required")
@@ -226,6 +217,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         if len(schedule) not in (1, n_agents):
             raise ConfigError(
                 f"delay.schedule: need 1 or {n_agents} paths, got {len(schedule)}")
+        delay["schedule"] = schedule if len(schedule) == n_agents else schedule * n_agents
     f = delay["delayed_agent_count"]
     if f is not None:
         if mode != "distributed":
@@ -246,20 +238,10 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError("config.zeta: required with zeta_mode = 'explicit' and only "
                           "meaningful there")
 
-    consts = {k: None if v == "auto" else v for k, v in c["constants"].items()}
-    return ExperimentConfig(
-        mode=mode, T=c["T"], set_kind=cset["kind"], radius=cset["radius"], dim=dim,
-        p_features=cset["p"], n_classes=cset["C"], loss_kind=loss["kind"],
-        loss_data=loss["data"], batch=loss["batch"] or 1, loss_seed=loss["seed"],
-        delay_dmax=delay["dmax"], delay_schedule=schedule, delay_seed=delay["seed"],
-        delayed_agent_count=f, topo_kind=topo["kind"], n_agents=n_agents,
-        topo_p=topo["p"], topo_seed=topo["seed"], g_const=consts["G"],
-        beta_const=consts["beta"], d_const=consts["D"], zeta_mode=c["zeta_mode"],
-        zeta_explicit=c["zeta"], k_override=c["K_override"],
-        diagnostics=c["diagnostics"], seeds=tuple(c["seeds"]), output=c["output"],
-        # a private copy, so the caller's later edits cannot move sha256()
-        raw=json.loads(json.dumps(obj)),
-    )
+    c["constants"] = {k: None if v == "auto" else v for k, v in c["constants"].items()}
+    c["seeds"] = tuple(c["seeds"])
+    # raw is a private copy, so the caller's later edits cannot move sha256()
+    return ExperimentConfig(**c, dim=dim, n_agents=n_agents, raw=json.loads(json.dumps(obj)))
 
 
 def _reject_constant(name: str):
@@ -283,38 +265,35 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _build_stream(cfg: ExperimentConfig, run_seed: int) -> LossStream:
-    if cfg.loss_data == "synthetic":
-        rng = seeding.rng_for(run_seed, seeding.STREAM_LOSS, cfg.loss_seed)
-        if cfg.loss_kind == "quadratic":
+    loss, p, C = cfg.loss, cfg.set["p"], cfg.set["C"]
+    if loss["data"] == "synthetic":
+        rng = seeding.rng_for(run_seed, seeding.STREAM_LOSS, loss["seed"])
+        if loss["kind"] == "quadratic":
             return synth_quadratic_stream(rng, cfg.T, cfg.dim, cfg.n_agents)
-        return synth_stream(rng, cfg.T, cfg.p_features, cfg.n_classes, cfg.batch,
-                            cfg.n_agents)
-    stream = csv_ingest(cfg.loss_data, cfg.batch, cfg.T, cfg.n_agents,
-                        n_classes=cfg.n_classes)
+        return synth_stream(rng, cfg.T, p, C, loss["batch"], cfg.n_agents)
+    stream = csv_ingest(loss["data"], loss["batch"], cfg.T, cfg.n_agents, n_classes=C)
     if stream.dim != cfg.dim:
         raise ConfigError(
-            f"{cfg.loss_data}: data dimension {stream.dim} != set dimension {cfg.dim}")
+            f"{loss['data']}: data dimension {stream.dim} != set dimension {cfg.dim}")
     return stream
 
 
 def _build_schedules(cfg: ExperimentConfig, run_seed: int) -> list:
-    n = cfg.n_agents
-    if cfg.delay_schedule is not None:
-        paths = cfg.delay_schedule if len(cfg.delay_schedule) == n \
-            else cfg.delay_schedule * n
-        schedules = [schedule_from_csv(p) for p in paths]
+    n, delay = cfg.n_agents, cfg.delay
+    if delay["schedule"] is not None:
+        schedules = [schedule_from_csv(p) for p in delay["schedule"]]
     else:
-        if cfg.delayed_agent_count is None:
+        if delay["delayed_agent_count"] is None:
             delayed = set(range(n))
         else:
-            rng = seeding.rng_for(run_seed, seeding.STREAM_DELAY, cfg.delay_seed, n)
-            delayed = set(rng.choice(n, size=cfg.delayed_agent_count,
+            rng = seeding.rng_for(run_seed, seeding.STREAM_DELAY, delay["seed"], n)
+            delayed = set(rng.choice(n, size=delay["delayed_agent_count"],
                                      replace=False).tolist())
         schedules = []
         for i in range(n):
             if i in delayed:
-                rng = seeding.rng_for(run_seed, seeding.STREAM_DELAY, cfg.delay_seed, i)
-                schedules.append(gen_delays(cfg.T, cfg.delay_dmax, rng))
+                rng = seeding.rng_for(run_seed, seeding.STREAM_DELAY, delay["seed"], i)
+                schedules.append(gen_delays(cfg.T, delay["dmax"], rng))
             else:
                 schedules.append(DelaySchedule(np.ones(cfg.T, dtype=int), 1))
     for s in schedules:
@@ -325,37 +304,33 @@ def _build_schedules(cfg: ExperimentConfig, run_seed: int) -> list:
 
 def _resolve_constants(cfg: ExperimentConfig, stream: LossStream,
                        cset: ConstraintSet) -> tuple:
-    if cfg.g_const is None or cfg.beta_const is None:
+    g, beta, d = cfg.constants["G"], cfg.constants["beta"], cfg.constants["D"]
+    if g is None or beta is None:
         g_auto, beta_auto = estimate_constants(stream, cset)
-    g = cfg.g_const if cfg.g_const is not None else g_auto
-    beta = cfg.beta_const if cfg.beta_const is not None else beta_auto
-    d = cfg.d_const if cfg.d_const is not None else cset.diameter()
-    return g, beta, d
-
-
-def _b_estimate(cfg: ExperimentConfig, schedules) -> float:
-    if cfg.zeta_mode == "dmax_bound":
-        return float(cfg.T * max(s.dmax for s in schedules))
-    return float(np.mean([s.B for s in schedules]))
+        g = g_auto if g is None else g
+        beta = beta_auto if beta is None else beta
+    return g, beta, cset.diameter() if d is None else d
 
 
 def run_single(cfg: ExperimentConfig, run_seed: int):
     """One fully assembled run for one seed; returns the regret-attached trace."""
-    cset = ConstraintSet(cfg.set_kind, cfg.radius, cfg.dim)
+    cset = ConstraintSet(cfg.set["kind"], cfg.set["radius"], cfg.dim)
     stream = _build_stream(cfg, run_seed)
     schedules = _build_schedules(cfg, run_seed)
     g, beta, d = _resolve_constants(cfg, stream, cset)
+    if cfg.zeta_mode == "dmax_bound":
+        b_est = float(cfg.T * max(s.dmax for s in schedules))
+    else:
+        b_est = float(np.mean([s.B for s in schedules]))
     if cfg.mode == "centralized":
-        params = centralized_params(cfg.T, g, beta, d, _b_estimate(cfg, schedules),
-                                    K=cfg.k_override, zeta=cfg.zeta_explicit)
+        params = centralized_params(cfg.T, g, beta, d, b_est, K=cfg.K_override, zeta=cfg.zeta)
         trace = delmfw_run(cset, stream, schedules[0], params, run_seed)
     elif cfg.mode == "distributed":
-        topo = topology(cfg.topo_kind, cfg.n_agents, p=cfg.topo_p, seed=cfg.topo_seed)
+        topo = topology(**cfg.topology)
         gossip = metropolis_weights(topo)
         consts = algorithm_constants(gossip, topo.n, d, g, beta)
-        params = distributed_params(cfg.T, g, beta, d, _b_estimate(cfg, schedules),
-                                    a_dist=consts.a_dist, K=cfg.k_override,
-                                    zeta=cfg.zeta_explicit)
+        params = distributed_params(cfg.T, g, beta, d, b_est, a_dist=consts.a_dist,
+                                    K=cfg.K_override, zeta=cfg.zeta)
         trace = de2mfw_run(cset, stream, schedules, topo, params, run_seed,
                            diagnostics=cfg.diagnostics)
     elif cfg.mode == "baseline_dofw":

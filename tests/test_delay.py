@@ -147,6 +147,9 @@ def test_csv_round_trip(tmp_path):
     assert back.dmax == 6
     inferred = schedule_from_csv(p)
     assert inferred.dmax == int(s.d.max())
+    with open(p, "a") as fh:
+        fh.write("\n")  # a trailing blank line is skipped
+    np.testing.assert_array_equal(schedule_from_csv(p, dmax=6).d, s.d)
 
 
 def test_csv_malformed(tmp_path):

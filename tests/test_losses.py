@@ -273,6 +273,11 @@ def test_csv_ingest_basic(tmp_path):
     assert stream.T == 2 and stream.n_agents == 1
     np.testing.assert_array_equal(stream.loss(0, 1).features, [[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal(stream.loss(0, 2).features, [[0.5, 0.5], [-1.0, 0.0]])
+    with open(p, "a") as fh:
+        fh.write("\n")  # a trailing blank line is skipped
+    again = csv_ingest(p, batch=2, T=2)
+    np.testing.assert_array_equal(again.losses.features, stream.losses.features)
+    np.testing.assert_array_equal(again.losses.labels, stream.losses.labels)
 
 
 def test_csv_ingest_wraps(tmp_path):
@@ -305,6 +310,9 @@ def test_csv_ingest_errors(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f1\n0,1.0\n1\n")
     with pytest.raises(ValueError):
+        csv_ingest(p, batch=1, T=1)
+    p.write_text("label,f1\n0,1.0\n\n1\n")  # a skipped blank line still counts as a line
+    with pytest.raises(ValueError, match=":4: inconsistent width 1 != 2"):
         csv_ingest(p, batch=1, T=1)
     p.write_text("label,f1\n0,abc\n")
     with pytest.raises(ValueError):

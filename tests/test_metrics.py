@@ -1,6 +1,8 @@
 """Metrics tests: comparator fixtures, regret arithmetic, trace CSV format."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from delayfw.metrics import (
     consensus_error,
     per_agent_global_losses,
     regret,
+    write_atomic,
 )
 
 L1_2D = ConstraintSet("l1_ball", 1.0, 2)
@@ -234,6 +237,18 @@ def test_write_is_atomic_no_temp_left(tmp_path):
     trace.write_csv(path)  # overwrite works
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=oct)
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_atomic(tmp_path / "new.csv", "x\n")
+        write_atomic(tmp_path / "new.csv", "y\n")  # a replaced file gets the same mode
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.csv").st_mode) == mode
 
 
 # -- consensus -------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from delayfw.network import (
     A_CAP,
+    ER_MAX_ATTEMPTS,
     GossipMatrix,
     Topology,
     algorithm_constants,
@@ -151,6 +152,21 @@ def test_erdos_renyi_connected_and_deterministic():
     c = topology("erdos_renyi", 24, p=0.09, seed=0)
     assert c.attempts >= 1
     metropolis_weights(c)  # connected by construction
+
+
+def test_erdos_renyi_gives_up_after_max_attempts(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):  # stops a draw loop that would not end
+        seeds.append(seed)
+        assert len(seeds) <= ER_MAX_ATTEMPTS
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    with pytest.raises(ValueError, match=r"n = 30 nodes with p = 0\.01"):
+        topology("erdos_renyi", 30, p=0.01, seed=7)
+    assert seeds == list(range(7, 7 + ER_MAX_ATTEMPTS))
 
 
 def test_topology_validation():

@@ -1,6 +1,7 @@
 """Config validation, orchestration, sweeps, and CLI exit codes."""
 
 import copy
+import dataclasses
 import glob
 import json
 import math
@@ -51,11 +52,21 @@ SHIPPED = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 def test_minimal_config_defaults():
     cfg = parse(minimal_centralized())
     assert cfg.mode == "centralized" and cfg.T == 12
-    assert cfg.zeta_mode == "true_B" and cfg.zeta_explicit is None
-    assert cfg.loss_data == "synthetic" and cfg.batch == 1
-    assert cfg.diagnostics is True and cfg.n_agents == 1
+    assert cfg.zeta_mode == "true_B" and cfg.zeta is None and cfg.K_override is None
+    assert cfg.loss == {"kind": "quadratic", "data": "synthetic", "batch": 1, "seed": 0}
+    assert cfg.delay == {"dmax": 3, "schedule": None, "seed": 0, "delayed_agent_count": None}
+    assert cfg.constants == {"G": None, "beta": None, "D": None}
+    assert cfg.topology is None and cfg.n_agents == 1 and cfg.dim == 3
+    assert cfg.diagnostics is True and cfg.output is None
     assert cfg.seeds == (0,)
     assert len(cfg.sha256()) == 64
+
+
+def test_config_record_fields_are_the_json_keys():
+    names = [f.name for f in dataclasses.fields(runner.ExperimentConfig)]
+    assert names == [*runner.CONFIG_KEYS["config"], "dim", "n_agents", "raw"]
+    cfg = parse(minimal_distributed())
+    assert cfg.topology == {"kind": "cycle", "n": 4, "p": 0.3, "seed": 0} and cfg.n_agents == 4
 
 
 def test_unknown_keys_rejected():
@@ -95,7 +106,7 @@ def test_delayed_agent_count_rules():
     with pytest.raises(runner.ConfigError, match="<= n"):
         parse(obj)
     obj["delay"]["delayed_agent_count"] = 2
-    assert parse(obj).delayed_agent_count == 2
+    assert parse(obj).delay["delayed_agent_count"] == 2
     cen = minimal_centralized()
     cen["delay"]["delayed_agent_count"] = 1
     with pytest.raises(runner.ConfigError, match="distributed"):
@@ -116,7 +127,8 @@ def test_softmax_set_dims():
     obj["loss"] = {"kind": "softmax_xent", "batch": 2}
     obj["set"] = {"kind": "l1_ball", "radius": 2.0, "p": 3, "C": 2}
     cfg = parse(obj)
-    assert cfg.dim == 6 and cfg.p_features == 3 and cfg.n_classes == 2
+    assert cfg.dim == 6 and cfg.set["p"] == 3 and cfg.set["C"] == 2 and cfg.set["dim"] is None
+    assert cfg.loss["batch"] == 2
     obj["set"]["dim"] = 7
     with pytest.raises(runner.ConfigError, match="p\\*C"):
         parse(obj)
@@ -128,7 +140,7 @@ def test_softmax_set_dims():
 
 def test_zeta_rules():
     cfg = parse(minimal_centralized(zeta_mode="explicit", zeta=0.25))
-    assert cfg.zeta_explicit == 0.25
+    assert cfg.zeta == 0.25
     with pytest.raises(runner.ConfigError, match="zeta"):
         parse(minimal_centralized(zeta_mode="explicit"))
     with pytest.raises(runner.ConfigError, match="zeta"):
@@ -144,11 +156,14 @@ def test_seeds_validation():
         parse(minimal_centralized(seeds=[0, -1]))
     with pytest.raises(runner.ConfigError, match="seeds"):
         parse(minimal_centralized(seeds=[True]))
+    with pytest.raises(runner.ConfigError, match="seeds: must be a nonempty list of distinct"):
+        parse(minimal_centralized(seeds=[0, 2, 0]))
+    assert parse(minimal_centralized(seeds=[2, 0])).seeds == (2, 0)
 
 
 def test_constants_validation():
     cfg = parse(minimal_centralized(constants={"G": 2.5, "beta": "auto"}))
-    assert cfg.g_const == 2.5 and cfg.beta_const is None
+    assert cfg.constants == {"G": 2.5, "beta": None, "D": None}
     with pytest.raises(runner.ConfigError, match="constants.G"):
         parse(minimal_centralized(constants={"G": -1.0}))
     for bad in (math.inf, math.nan, True, "x", 0):
@@ -269,6 +284,17 @@ def test_schedule_from_file(tmp_path):
     obj["delay"] = {"schedule": str(short_path)}
     with pytest.raises(runner.ConfigError, match="horizon"):
         runner._build_schedules(parse(obj), run_seed=0)
+
+
+def test_schedule_paths_fill_every_agent():
+    obj = minimal_distributed()
+    obj["delay"] = {"schedule": "s.csv"}
+    assert parse(obj).delay["schedule"] == ("s.csv",) * 4
+    obj["delay"] = {"schedule": ["a.csv", "b.csv", "c.csv", "d.csv"]}
+    assert parse(obj).delay["schedule"] == ("a.csv", "b.csv", "c.csv", "d.csv")
+    obj["delay"] = {"schedule": ["a.csv", "b.csv"]}
+    with pytest.raises(runner.ConfigError, match="need 1 or 4 paths, got 2"):
+        parse(obj)
 
 
 # -- experiments ---------------------------------------------------------------------
