@@ -21,10 +21,11 @@ methods so their traces are directly comparable:
 
 Both algorithms are deterministic; the ``seed`` accepted by the run drivers
 is only recorded in the trace metadata so runs stay attributable to the
-stream that produced them.  Default step weights are ``eta_reg =
-D / (G * sqrt(T))`` and ``eta_dgd = D / (G * sqrt(2B))`` where ``D`` is the
-set diameter, ``G`` the gradient bound of the stream, and ``B`` the total
-delay mass of the schedule.
+stream that produced them.  The run drivers take their step weight from the
+caller; ``runner.run_single`` passes ``eta_reg = D / (G * sqrt(T))`` and
+``eta_dgd = D / (G * sqrt(2B))`` with the run's resolved ``G`` and ``D``
+(the config's constants, or the stream's gradient bound and the set's
+diameter) and the schedule's total delay ``B``.
 """
 
 import math
@@ -33,7 +34,7 @@ import numpy as np
 
 from .delay import DelaySchedule, FeedbackBuffer
 from .geometry import ConstraintSet
-from .losses import LossStream, estimate_constants
+from .losses import LossStream
 from .metrics import RunTrace
 
 
@@ -118,20 +119,14 @@ def _baseline_run(make_state, mode: str, step_key: str, cset: ConstraintSet,
 
 
 def dofw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
-             eta_reg: float = None, seed=0) -> RunTrace:
+             eta_reg: float, seed=0) -> RunTrace:
     """Run delayed online Frank-Wolfe over the full horizon."""
-    if eta_reg is None:
-        G, _ = estimate_constants(stream, cset)
-        eta_reg = cset.diameter() / (G * math.sqrt(schedule.T))
     return _baseline_run(DofwState, "baseline_dofw", "eta_reg", cset, stream,
                          schedule, eta_reg, seed)
 
 
 def dgd_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
-            eta_dgd: float = None, seed=0) -> RunTrace:
+            eta_dgd: float, seed=0) -> RunTrace:
     """Run delayed projected gradient descent over the full horizon."""
-    if eta_dgd is None:
-        G, _ = estimate_constants(stream, cset)
-        eta_dgd = cset.diameter() / (G * math.sqrt(2.0 * schedule.B))
     return _baseline_run(DgdState, "baseline_dgd", "eta_dgd", cset, stream,
                          schedule, eta_dgd, seed)

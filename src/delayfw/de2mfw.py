@@ -319,7 +319,6 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
         inst_loss=per_agent.max(axis=1),
         metadata=metadata,
         per_agent_loss=per_agent,
-        mean_loss=per_agent.mean(axis=1),
         consensus=consensus,
         tracking=tracking,
     )

@@ -53,11 +53,11 @@ class DelaySchedule:
         return int(self.d[t - 1])
 
 
-def schedule_from_csv(path, dmax: int | None = None) -> DelaySchedule:
+def schedule_from_csv(path) -> DelaySchedule:
     """Load a user-supplied (possibly adversarial) schedule from CSV.
 
     The file holds one integer per row under a ``d`` header; blank lines are
-    skipped.  When dmax is omitted it is taken as the largest delay present.
+    skipped.  The schedule's dmax is the largest delay present.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -69,7 +69,7 @@ def schedule_from_csv(path, dmax: int | None = None) -> DelaySchedule:
         raise ValueError(f"{path}: malformed delay row ({e})") from None
     if d.size == 0:
         raise ValueError(f"{path}: no delay rows")
-    return DelaySchedule(d, int(d.max()) if dmax is None else dmax)
+    return DelaySchedule(d, int(d.max()))
 
 
 def gen_delays(T: int, dmax: int, seed) -> DelaySchedule:

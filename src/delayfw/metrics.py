@@ -37,9 +37,10 @@ class RunTrace:
 
     decisions is (T, m) for single-agent runs and (T, n, m) for network
     runs.  inst_loss holds f_t(x_t) centrally and the worst-agent global
-    loss max_i F_t(x^i_t) in the distributed case (mean_loss keeps the
-    agent average).  consensus/tracking are optional (T, K) diagnostic
-    grids; their CSV columns carry the per-round max over k.
+    loss max_i F_t(x^i_t) in the distributed case, where per_agent_loss
+    keeps the (T, n) matrix of every F_t(x^i_t).  consensus/tracking are
+    optional (T, K) diagnostic grids; their CSV columns carry the per-round
+    max over k.
     """
 
     mode: str
@@ -47,7 +48,6 @@ class RunTrace:
     inst_loss: np.ndarray
     metadata: dict
     per_agent_loss: np.ndarray | None = None
-    mean_loss: np.ndarray | None = None
     consensus: np.ndarray | None = None
     tracking: np.ndarray | None = None
     regret_prefix: np.ndarray | None = None
@@ -215,15 +215,9 @@ def attach_regret(trace: RunTrace, comparator: Comparator, stream: LossStream) -
     return trace
 
 
-def consensus_error(vectors: np.ndarray, center: np.ndarray | None = None):
-    """max_i ||vectors[..., i, :] - center|| over the n agents of an (..., n, m) stack.
+def consensus_error(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """max_i ||vectors[..., i, :] - center|| of an (..., n, m) stack and (..., m) centers.
 
-    center (..., m) defaults to the agent mean.  One (n, m) slice (or n scalars)
-    gives a float, a (K, n, m) stack the (K,) array of its per-slice values.
+    A (K, n, m) stack gives the (K,) array of its per-slice values.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    center = vectors.mean(axis=-2) if center is None else np.asarray(center, dtype=np.float64)
-    err = np.max(np.linalg.norm(vectors - center[..., None, :], axis=-1), axis=-1)
-    return float(err) if err.ndim == 0 else err
+    return np.max(np.linalg.norm(vectors - center[..., None, :], axis=-1), axis=-1)

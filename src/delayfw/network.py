@@ -17,17 +17,13 @@ is active the iteration's slope is k0*sqrt(n) >= 1 and the sequence grows
 without bound; growth past A_CAP is detected, reported through a warning,
 and the capped value is returned (the run proceeds with step sizes
 eta_k = min(1, A/k), which are then 1 at every k anyone will reach).
-
-Contraction bounds use the spectral norm of W on the subspace orthogonal
-to the all-ones vector; that can exceed the second-largest eigenvalue when
-negative eigenvalues dominate, so both values are recorded.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +65,6 @@ class Topology:
     kind: str
     n: int
     edges: tuple
-    p: float | None = None
-    seed: int | None = None
-    attempts: int = 1
 
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
@@ -99,7 +92,7 @@ def topology(kind: str, n: int, p: float = 0.3, seed: int = 0) -> Topology:
 
     erdos_renyi draws each edge with probability p and re-draws with the
     seed incremented until the graph is connected, at most ER_MAX_ATTEMPTS
-    times; the attempt count is recorded on the result.
+    times.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -124,12 +117,11 @@ def topology(kind: str, n: int, p: float = 0.3, seed: int = 0) -> Topology:
     elif kind == "erdos_renyi":
         if not 0.0 < p <= 1.0:
             raise ValueError(f"edge probability must be in (0, 1], got {p}")
-        for attempt in range(1, ER_MAX_ATTEMPTS + 1):
-            rng = np.random.default_rng(seed + attempt - 1)
-            mask = rng.random((n, n)) < p
+        for attempt in range(ER_MAX_ATTEMPTS):
+            mask = np.random.default_rng(seed + attempt).random((n, n)) < p
             edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j])
             if _connected(n, edges):
-                return Topology("erdos_renyi", n, edges, p=p, seed=seed, attempts=attempt)
+                return Topology("erdos_renyi", n, edges)
         raise ValueError(f"erdos_renyi: no connected graph on n = {n} nodes with p = {p} "
                          f"in {ER_MAX_ATTEMPTS} draws")
     else:
@@ -139,13 +131,10 @@ def topology(kind: str, n: int, p: float = 0.3, seed: int = 0) -> Topology:
 
 @dataclass(frozen=True)
 class GossipMatrix:
-    """Metropolis weight matrix with its spectral quantities."""
+    """Metropolis weight matrix with its second-largest eigenvalue and k0."""
 
     w: np.ndarray
-    tau: np.ndarray
-    lambda2: float      # second-largest eigenvalue
-    lambda_abs: float   # spectral norm orthogonal to the ones vector
-    rho: float
+    lambda2: float
     k0: int
 
     @property
@@ -164,16 +153,15 @@ def metropolis_weights(topo: Topology) -> GossipMatrix:
     for i, j in topo.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(tau[i], tau[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    lam2, lam_abs = lambda2(w)
     # Every diagonal entry is >= 1/(1 + tau_i), so trace(W) >= 1 and the
     # other eigenvalues average >= 0: lambda2 >= 0 exactly, and a negative
     # value (the all-1/n complete-graph matrix) is eigvalsh roundoff.
-    lam2 = max(lam2, 0.0)
-    return GossipMatrix(w, tau, lam2, lam_abs, 1.0 - lam2, k0_of(lam2))
+    lam2 = max(lambda2(w), 0.0)
+    return GossipMatrix(w, lam2, k0_of(lam2))
 
 
-def lambda2(w: np.ndarray) -> tuple:
-    """(second-largest eigenvalue, max |eigenvalue|) orthogonal to the ones vector."""
+def lambda2(w: np.ndarray) -> float:
+    """Second-largest eigenvalue of a symmetric doubly stochastic matrix (0 when n = 1)."""
     w = np.asarray(w, dtype=np.float64)
     n = w.shape[0]
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -184,10 +172,9 @@ def lambda2(w: np.ndarray) -> tuple:
     if np.max(np.abs(w @ ones - ones)) > 1e-10 or np.max(np.abs(ones @ w - ones)) > 1e-10:
         raise ValueError("gossip matrix must be doubly stochastic")
     if n == 1:
-        return 0.0, 0.0
-    eigs = np.sort(np.linalg.eigvalsh(w))
-    rest = eigs[:-1]  # drop the top eigenvalue 1 (simple for connected graphs)
-    return float(rest[-1]), float(np.max(np.abs(rest)))
+        return 0.0
+    # eigvalsh sorts ascending; the top eigenvalue 1 is simple for connected graphs
+    return float(np.linalg.eigvalsh(w)[-2])
 
 
 def k0_of(lam: float) -> int:
@@ -207,39 +194,33 @@ class AlgorithmConstants:
     a_dist: float
     converged: bool
     iterations: int
-    trace: tuple = field(repr=False, default=())
 
 
 def algorithm_constants(gossip: GossipMatrix, n: int, D: float, G: float, beta: float) -> AlgorithmConstants:
     """Resolve (C_d, C_g, A) jointly; see the module docstring for the rule."""
     if min(D, G, beta) <= 0:
         raise ValueError("D, G, beta must all be positive")
-    lam, rho, k0 = gossip.lambda2, gossip.rho, gossip.k0
+    lam, k0 = gossip.lambda2, gossip.k0
+    rho = 1.0 - lam
     c_d = k0 * math.sqrt(n) * D
 
     def c_g_of(a: float) -> float:
         return math.sqrt(n) * max(lam * (G + beta * D / rho), k0 * beta * (4.0 * c_d + a * D))
 
-    a0 = max(3.0, 3.0 * G / (2.0 * beta * D))
-    a = a0
-    trace = [a]
-    converged = False
+    a = a0 = max(3.0, 3.0 * G / (2.0 * beta * D))
+    converged, it = False, 0
     for it in range(1, _FP_MAX_ITERS + 1):
         nxt = max(a0, (2.0 * beta * c_d + c_g_of(a)) / (beta * D))
-        trace.append(nxt)
-        if abs(nxt - a) <= 1e-9 * max(1.0, abs(a)):
-            a = nxt
-            converged = True
-            break
+        converged = abs(nxt - a) <= 1e-9 * max(1.0, abs(a))
         a = nxt
-        if a > A_CAP:
+        if converged or a > A_CAP:
             break
     if not converged:
         a = min(a, A_CAP)
         warnings.warn(
-            f"A/C_g fixed point did not converge after {len(trace) - 1} iterations; "
+            f"A/C_g fixed point did not converge after {it} iterations; "
             f"proceeding with A capped at {a:g} (every eta_k = min(1, A/k) is 1)",
             RuntimeWarning,
             stacklevel=2,
         )
-    return AlgorithmConstants(c_d, c_g_of(a), a, converged, len(trace) - 1, tuple(trace))
+    return AlgorithmConstants(c_d, c_g_of(a), a, converged, it)

@@ -40,8 +40,6 @@ class FtplOracle:
     Attributes:
         noise: (N, m) perturbations, row r drawn from the r-th seed.
         accum: (N, m) running feedback sums.
-        feedback_count: number of feedback calls absorbed; every call feeds
-            every row, so one count serves the whole bank.
     """
 
     def __init__(self, cset: ConstraintSet, zeta: float, seed):
@@ -54,7 +52,6 @@ class FtplOracle:
         self.zeta = float(zeta)
         self.noise = np.array([np.random.default_rng(s).uniform(size=cset.dim) for s in seeds])
         self.accum = np.zeros_like(self.noise)
-        self.feedback_count = 0
 
     def query(self) -> np.ndarray:
         """(N, m) current predictions; pure, identical between feedback calls."""
@@ -68,4 +65,3 @@ class FtplOracle:
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite entries in feedback")
         self.accum = self.accum + g
-        self.feedback_count += 1

@@ -4,8 +4,9 @@ A config is a single JSON object (UTF-8).  `CONFIG_KEYS` lists every key,
 section by section, with its type, default and value rule; unknown keys
 anywhere are rejected.  `config_from_dict` adds the rules that tie keys
 together: mode and topology, loss kind and set/batch keys, dmax or
-schedule, delayed_agent_count, and zeta_mode and zeta.  The README's config
-table says what each key means.
+schedule, delayed_agent_count, and zeta_mode and zeta; it also draws an
+erdos_renyi graph, so one that never connects is a config error.  The
+README's config table says what each key means.
 
 Every run is deterministic in (config, seed); wall-clock times in
 summary.csv are the one exception and are excluded from that contract.
@@ -208,6 +209,11 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     if (mode == "distributed") != (c["topology"] is not None):
         raise ConfigError("topology: required in distributed mode and only meaningful there")
     n_agents = c["topology"]["n"] if c["topology"] else 1
+    if c["topology"] and c["topology"]["kind"] == "erdos_renyi":
+        try:  # the one kind whose build can fail: fail before any run writes
+            topology(**c["topology"])
+        except ValueError as e:
+            raise ConfigError(f"topology: {e}") from None
 
     if (delay["dmax"] is None) == (delay["schedule"] is None):
         raise ConfigError("delay: exactly one of 'dmax' and 'schedule' is required")
@@ -334,9 +340,10 @@ def run_single(cfg: ExperimentConfig, run_seed: int):
         trace = de2mfw_run(cset, stream, schedules, topo, params, run_seed,
                            diagnostics=cfg.diagnostics)
     elif cfg.mode == "baseline_dofw":
-        trace = dofw_run(cset, stream, schedules[0], seed=run_seed)
+        trace = dofw_run(cset, stream, schedules[0], d / (g * math.sqrt(cfg.T)), run_seed)
     else:
-        trace = dgd_run(cset, stream, schedules[0], seed=run_seed)
+        trace = dgd_run(cset, stream, schedules[0], d / (g * math.sqrt(2.0 * schedules[0].B)),
+                        run_seed)
     comparator = compute_comparator(stream, cset)
     attach_regret(trace, comparator, stream)
     trace.metadata.update({

@@ -7,6 +7,7 @@ The softmax fixtures also record the comparator's gap with ``repr``, as
 Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``round_recorder``, an observer that copies every round of an engine run,
 ``bits``, the bit patterns that bitwise comparisons of float arrays read,
+``feedback_spy``, which records the feedback calls oracle banks absorb,
 and ``read_trace_csv``, which parses a written trace back into arrays.
 """
 
@@ -19,6 +20,7 @@ from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, synth_stream
 from delayfw.metrics import attach_regret, compute_comparator
 from delayfw.network import topology
+from delayfw.oracle import FtplOracle
 
 CSET = ConstraintSet("l1_ball", 1.0, 2)
 
@@ -32,6 +34,19 @@ def write_schedule_csv(path, delays) -> None:
 def bits(a):
     """The uint64 bit patterns of a float64 array, so that -0.0 differs from +0.0."""
     return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def feedback_spy(monkeypatch):
+    """Wrap FtplOracle.feedback; the returned list gets the bank of every call that returns."""
+    absorbed = []
+    feedback = FtplOracle.feedback
+
+    def spy(bank, g):
+        feedback(bank, g)
+        absorbed.append(bank)
+
+    monkeypatch.setattr(FtplOracle, "feedback", spy)
+    return absorbed
 
 
 def round_recorder(run):

@@ -251,7 +251,8 @@ def test_criterion_7_delay_sensitivity():
             trace = delmfw_run(cset, stream, schedule, params, seed=seed)
             totals[dmax].append(trace.total_loss)
             if dmax == 101:
-                dofw_totals.append(dofw_run(cset, stream, schedule, seed=seed).total_loss)
+                eta_reg = cset.diameter() / (G * math.sqrt(T))  # run_single's DOFW step
+                dofw_totals.append(dofw_run(cset, stream, schedule, eta_reg, seed).total_loss)
     means = [float(np.mean(totals[d])) for d in dmaxes]
     assert means[0] < means[1] < means[2], f"mean totals not increasing: {means}"
     wins = sum(1 for a, b in zip(totals[101], dofw_totals) if a < b)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delayfw import runner
 from delayfw.baselines import DgdState, DofwState, dgd_run, dofw_run
 from delayfw.delay import DelaySchedule, gen_delays
 from delayfw.geometry import ConstraintSet
@@ -97,31 +98,59 @@ def test_run_drivers():
     cset = ConstraintSet("l1_ball", 1.0, 3)
     stream = synth_quadratic_stream(seed=4, T=T, dim=3, scale=0.5)
     schedule = gen_delays(T, dmax, seed=9)
-    for runner, mode, step_key in [(dofw_run, "baseline_dofw", "eta_reg"),
-                                   (dgd_run, "baseline_dgd", "eta_dgd")]:
-        trace = runner(cset, stream, schedule, seed=4)
-        again = runner(cset, stream, schedule, seed=4)
+    for run, mode, step_key in [(dofw_run, "baseline_dofw", "eta_reg"),
+                                (dgd_run, "baseline_dgd", "eta_dgd")]:
+        trace = run(cset, stream, schedule, 0.3, seed=4)
+        again = run(cset, stream, schedule, 0.3, seed=4)
         assert trace.mode == mode
         assert trace.decisions.shape == (T, 3)
         assert np.array_equal(trace.decisions, again.decisions)
-        assert float(trace.metadata[step_key]) > 0.0
+        assert trace.metadata[step_key] == repr(0.3)
         assert trace.metadata["B"] == schedule.B
         for t in range(T):
             assert cset.contains(trace.decisions[t], tol=1e-9)
             assert trace.inst_loss[t] == stream.loss(0, t + 1).value(trace.decisions[t])
 
 
+def baseline_config(mode, **over):
+    return runner.config_from_dict({
+        "mode": mode, "T": 50, "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+        "loss": {"kind": "quadratic", "seed": 0}, "delay": {"dmax": 10, "seed": 0},
+        "seeds": [0], **over})
+
+
+STEP_KEYS = (("baseline_dofw", "eta_reg"), ("baseline_dgd", "eta_dgd"))
+
+
+def step_root(cfg, seed):
+    """sqrt(T) for DOFW, sqrt(2B) for DGD: the step rules' denominators without G."""
+    if cfg.mode == "baseline_dofw":
+        return math.sqrt(cfg.T)
+    (schedule,) = runner._build_schedules(cfg, seed)
+    return math.sqrt(2.0 * schedule.B)
+
+
 def test_default_steps_match_formulas():
-    T = 16
-    cset = ConstraintSet("l2_ball", 2.0, 3)
-    stream = synth_quadratic_stream(seed=1, T=T, dim=3, scale=1.0)
-    schedule = gen_delays(T, 3, seed=2)
-    G, _ = estimate_constants(stream, cset)
-    D = cset.diameter()
-    dofw = dofw_run(cset, stream, schedule)
-    dgd = dgd_run(cset, stream, schedule)
-    assert float(dofw.metadata["eta_reg"]) == pytest.approx(D / (G * math.sqrt(T)))
-    assert float(dgd.metadata["eta_dgd"]) == pytest.approx(D / (G * math.sqrt(2.0 * schedule.B)))
+    # auto constants: G is the stream's bound and D the set's diameter
+    for mode, key in STEP_KEYS:
+        cfg = baseline_config(mode, T=16, set={"kind": "l2_ball", "radius": 2.0, "dim": 3})
+        cset = ConstraintSet("l2_ball", 2.0, 3)
+        G, _ = estimate_constants(runner._build_stream(cfg, 1), cset)
+        D = cset.diameter()
+        meta = runner.run_single(cfg, 1).metadata
+        assert (meta["G"], meta["D"]) == (repr(G), repr(D))
+        assert meta[key] == repr(D / (G * step_root(cfg, 1)))
+
+
+def test_configured_constants_set_the_steps():
+    # the trace's #G and #D are the ones its step was computed from
+    for mode, key in STEP_KEYS:
+        cfg = baseline_config(mode, constants={"G": 5.0, "D": 7.0})
+        meta = runner.run_single(cfg, 0).metadata
+        assert (meta["G"], meta["D"]) == ("5.0", "7.0")
+        assert meta[key] == repr(7.0 / (5.0 * step_root(cfg, 0)))
+        if mode == "baseline_dofw":
+            assert float(meta[key]) == pytest.approx(0.19799, abs=1e-5)  # 7/(5 sqrt 50)
 
 
 def test_dofw_gradients_use_origin_round_decisions():
@@ -147,7 +176,7 @@ def test_dofw_gradients_use_origin_round_decisions():
 def test_horizon_and_agent_validation():
     stream = synth_quadratic_stream(seed=0, T=5, dim=3)
     with pytest.raises(ValueError):
-        dofw_run(L1, stream, gen_delays(6, 2, seed=0))
+        dofw_run(L1, stream, gen_delays(6, 2, seed=0), 0.5)
     multi = synth_quadratic_stream(seed=0, T=5, dim=3, n_agents=2)
     with pytest.raises(ValueError):
-        dgd_run(L1, multi, gen_delays(5, 2, seed=0))
+        dgd_run(L1, multi, gen_delays(5, 2, seed=0), 0.5)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import bits
+from _fixtures import bits, feedback_spy
 from delayfw import de2mfw, metrics, seeding
 from delayfw.de2mfw import NetworkRun, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from delayfw.delay import gen_delays
@@ -169,9 +169,12 @@ def test_bank_rejects_non_finite(rows, bad, data):
     r = data.draw(st.integers(0, rows - 1))
     g = np.zeros((rows, 3))
     g[r, data.draw(st.integers(0, 2))] = bad
-    with pytest.raises(ValueError):
-        bank.feedback(g)  # zero rows beside the bad one
-    assert bank.feedback_count == 0
+    with pytest.MonkeyPatch.context() as mp:  # Hypothesis reruns the body; no fixture
+        absorbed = feedback_spy(mp)
+        with pytest.raises(ValueError):
+            bank.feedback(g)  # zero rows beside the bad one
+    assert absorbed == []
+    assert not np.any(bank.accum)  # the good rows were not absorbed either
     bank.accum[r, 0] = bad  # only reachable by writing the state directly
     with pytest.raises(ValueError):
         bank.query()

@@ -9,6 +9,7 @@ refactor instead.
 import importlib.util
 import pathlib
 import types
+import warnings
 
 import numpy as np
 
@@ -40,6 +41,38 @@ def test_every_span_target_is_an_attribute_of_its_owner():
 def test_runner_names_patched_by_the_engine_hook_and_selfcheck():
     for name in ("delmfw_run", "de2mfw_run", "_write_atomic"):
         assert name in vars(runner), name
+
+
+def test_names_the_harness_reads_outside_its_spans():
+    # harness._check_decisions recomputes quadratic losses from stream.loss(i, t).theta;
+    # harness._count_metrics averages topology(kind, n).degrees()
+    stream = losses.synth_quadratic_stream(0, 4, 3, n_agents=2)
+    assert np.array_equal(stream.loss(1, 4).theta, stream.losses.theta[1, 3])
+    assert network.topology("grid", 6).degrees().tolist() == [2, 3, 2, 2, 3, 2]
+
+
+def test_run_single_hands_the_engines_a_set_and_a_stream(monkeypatch):
+    # the engine hook wraps runner.delmfw_run and runner.de2mfw_run by name, reads
+    # their first two arguments as the set and the stream, and the decisions returned
+    seen = []
+    for name in ("delmfw_run", "de2mfw_run"):
+        def spy(*args, _engine=vars(runner)[name], **kwargs):
+            trace = _engine(*args, **kwargs)
+            seen.append((args, trace))
+            return trace
+
+        monkeypatch.setattr(runner, name, spy)
+    body = {"mode": "centralized", "T": 6, "set": {"kind": "l1_ball", "radius": 1.0, "dim": 3},
+            "loss": {"kind": "quadratic"}, "delay": {"dmax": 2}, "seeds": [0]}
+    runner.run_single(runner.config_from_dict(body), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the A cap of a network run
+        runner.run_single(runner.config_from_dict(
+            {**body, "mode": "distributed", "topology": {"kind": "cycle", "n": 4}}), 0)
+    assert [trace.decisions.shape for _, trace in seen] == [(6, 3), (6, 4, 3)]
+    for args, _ in seen:
+        assert isinstance(args[0], geometry.ConstraintSet)
+        assert isinstance(args[1], losses.LossStream)
 
 
 class ReleaseLog:

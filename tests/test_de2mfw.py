@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import bits, round_recorder
+from _fixtures import bits, feedback_spy, round_recorder
 from _reference import gossip_fw_round, meta_fw_run
 from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
                             distributed_params, run_rounds)
@@ -79,7 +79,7 @@ def test_single_agent_run_bitwise_equals_centralized():
     net = de2mfw_run(cset, stream, [schedule], topology("complete", 1), params, seed=seed)
     assert np.array_equal(net.decisions[:, 0, :], central.decisions)
     assert np.array_equal(net.inst_loss, central.inst_loss)
-    assert np.array_equal(net.mean_loss, central.inst_loss)
+    assert np.array_equal(net.per_agent_loss.mean(axis=1), central.inst_loss)
 
 
 # -- gossip algebra --------------------------------------------------------------
@@ -202,7 +202,8 @@ def test_consensus_bound():
 # -- empty rounds and feedback gating ---------------------------------------------
 
 
-def test_all_empty_round_is_zero_feedback():
+def test_all_empty_round_is_zero_feedback(monkeypatch):
+    absorbed = feedback_spy(monkeypatch)
     params = params_for(K=2, T=4)
     gossip = metropolis_weights(topology("cycle", 3))
     run = NetworkRun(L1, gossip, params, seed=2, window=1)
@@ -211,11 +212,11 @@ def test_all_empty_round_is_zero_feedback():
     q_before = run.bank.query()
     run.absorb_round(1, np.empty((0, 2), dtype=int), None)
     q_after = run.bank.query()
+    assert absorbed == [run.bank]  # zero vectors were fed
     for i in range(3):
         for k in range(2):
             r = i * 2 + k  # bank row of agent i's oracle k+1
             np.testing.assert_array_equal(run.bank.accum[r], before[r])
-            assert run.bank.feedback_count == 1  # zero vector was fed
             np.testing.assert_array_equal(q_after[r], q_before[r])
 
 
@@ -448,7 +449,7 @@ def test_trace_losses_match_manual_average():
     for t in range(1, 6):
         vals = [stream.average_value(trace.decisions[t - 1, i], t) for i in range(3)]
         assert trace.inst_loss[t - 1] == pytest.approx(max(vals), rel=1e-12)
-        assert trace.mean_loss[t - 1] == pytest.approx(np.mean(vals), rel=1e-12)
+        assert trace.per_agent_loss.mean(axis=1)[t - 1] == pytest.approx(np.mean(vals), rel=1e-12)
         assert trace.per_agent_loss[t - 1].tolist() == pytest.approx(vals, rel=1e-12)
     assert trace.consensus.shape == (5, params.K)
     assert trace.tracking.shape == (5, params.K)

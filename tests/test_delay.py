@@ -142,14 +142,12 @@ def test_csv_round_trip(tmp_path):
     s = gen_delays(25, 6, seed=9)
     p = tmp_path / "sched.csv"
     write_schedule_csv(p, s.d)
-    back = schedule_from_csv(p, dmax=6)
+    back = schedule_from_csv(p)
     np.testing.assert_array_equal(back.d, s.d)
-    assert back.dmax == 6
-    inferred = schedule_from_csv(p)
-    assert inferred.dmax == int(s.d.max())
+    assert back.dmax == int(s.d.max())
     with open(p, "a") as fh:
         fh.write("\n")  # a trailing blank line is skipped
-    np.testing.assert_array_equal(schedule_from_csv(p, dmax=6).d, s.d)
+    np.testing.assert_array_equal(schedule_from_csv(p).d, s.d)
 
 
 def test_csv_malformed(tmp_path):

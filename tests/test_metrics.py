@@ -255,13 +255,14 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
 
 
 def test_consensus_error_identical_agents():
-    assert consensus_error(np.tile([0.3, -0.2], (5, 1))) == 0.0
+    agents = np.tile([0.3, -0.2], (5, 1))  # (n, m)
+    assert consensus_error(agents, agents.mean(axis=0)) == 0.0
 
 
 def test_consensus_error_path_fixture():
-    y = np.array([4.0 / 3.0, 2.0, 8.0 / 3.0])
-    assert consensus_error(y) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert consensus_error(y, center=np.array([2.0])) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    y = np.array([[4.0 / 3.0], [2.0], [8.0 / 3.0]])  # three agents, m = 1
+    assert consensus_error(y, y.mean(axis=0)) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert consensus_error(y, np.array([2.0])) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,10 +272,10 @@ def test_consensus_error_stack_equals_slice_calls(K, n, m, centered, seed, strid
     rng = np.random.default_rng(seed)
     # strided: a step-major view of an agent-major array, as the engine hands out
     stack = rng.normal(size=(n, K, m)).swapaxes(0, 1) if strided else rng.normal(size=(K, n, m))
-    center = rng.normal(size=(K, m)) if centered else None
+    center = rng.normal(size=(K, m)) if centered else stack.mean(axis=1)
     errs = consensus_error(stack, center)
     assert errs.shape == (K,)
     for k in range(K):
-        one = consensus_error(stack[k], None if center is None else center[k])
-        assert type(one) is float
+        one = consensus_error(stack[k], center[k])  # one (n, m) slice
+        assert one.shape == ()
         assert errs[k] == one

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from delayfw import network
 from delayfw.network import (
     A_CAP,
     ER_MAX_ATTEMPTS,
@@ -46,7 +47,8 @@ def test_lambda2_fixtures():
     # path: eigenvalues {1, 2/3, 0}; cycle3 is the rank-1 averaging matrix
     g = metropolis_weights(path3())
     assert g.lambda2 == pytest.approx(2 / 3, abs=1e-10)
-    assert g.lambda_abs == pytest.approx(2 / 3, abs=1e-10)
+    assert lambda2(g.w) == g.lambda2
+    assert lambda2(np.array([[1.0]])) == 0.0
     assert metropolis_weights(topology("cycle", 3)).lambda2 == pytest.approx(0.0, abs=1e-10)
     assert metropolis_weights(topology("complete", 2)).lambda2 == pytest.approx(0.0, abs=1e-10)
 
@@ -118,12 +120,14 @@ def test_mix_path3_example():
 def test_mix_preserves_mean_and_contracts():
     for kind in ["complete", "cycle", "grid", "erdos_renyi"]:
         g = metropolis_weights(topology(kind, 9, p=0.4, seed=1))
+        # spectral norm of W off the ones vector: drop the top eigenvalue 1
+        lam_abs = np.max(np.abs(np.linalg.eigvalsh(g.w)[:-1]))
         for _ in range(250):
             x = RNG.normal(size=(9, 3))
             y = g.mix(x)
             np.testing.assert_allclose(y.mean(axis=0), x.mean(axis=0), atol=1e-12)
             xbar = np.tile(x.mean(axis=0), (9, 1))
-            assert np.linalg.norm(y - xbar) <= g.lambda_abs * np.linalg.norm(x - xbar) + 1e-10
+            assert np.linalg.norm(y - xbar) <= lam_abs * np.linalg.norm(x - xbar) + 1e-10
 
 
 def test_grid_shape():
@@ -147,10 +151,9 @@ def test_erdos_renyi_connected_and_deterministic():
     a = topology("erdos_renyi", 12, p=0.2, seed=3)
     b = topology("erdos_renyi", 12, p=0.2, seed=3)
     assert a.edges == b.edges
-    assert a.attempts == b.attempts >= 1
     # sparse draw on a larger graph usually needs reseeding; just check validity
     c = topology("erdos_renyi", 24, p=0.09, seed=0)
-    assert c.attempts >= 1
+    assert c.edges == topology("erdos_renyi", 24, p=0.09, seed=0).edges
     metropolis_weights(c)  # connected by construction
 
 
@@ -184,7 +187,7 @@ def test_topology_validation():
 
 
 def trivial_gossip():
-    return GossipMatrix(np.array([[1.0]]), np.array([0]), 0.0, 0.0, 1.0, 1)
+    return GossipMatrix(np.array([[1.0]]), 0.0, 1)
 
 
 def test_constants_cd_values():
@@ -197,7 +200,24 @@ def test_constants_cd_values():
         )
 
 
-def test_constants_fixed_point_hand_recurrence():
+def path3_iterates(monkeypatch, steps):
+    """The fixed-point iterates A_1..A_steps on the 3-path with G = beta = D = 1.
+
+    Iteration i is read as the A that algorithm_constants returns when it
+    may take only i iterations; none of these reaches A_CAP.
+    """
+    g = metropolis_weights(path3())
+    out = []
+    for i in range(1, steps + 1):
+        monkeypatch.setattr(network, "_FP_MAX_ITERS", i)
+        with pytest.warns(RuntimeWarning):
+            res = algorithm_constants(g, 3, 1.0, 1.0, 1.0)
+        assert (res.iterations, res.converged) == (i, False)
+        out.append(res.a_dist)
+    return np.array(out)
+
+
+def test_constants_fixed_point_hand_recurrence(monkeypatch):
     # G = beta = D = 1 on the 3-path (lambda=2/3, k0=5, rho=1/3):
     #   C_d = 5*sqrt(3); Cg(a) = sqrt(3)*max(8/3, 5*(20*sqrt(3) + a))
     #   next(a) = max(3, 2*C_d + Cg(a))
@@ -206,25 +226,24 @@ def test_constants_fixed_point_hand_recurrence():
         res = algorithm_constants(g, 3, 1.0, 1.0, 1.0)
     c_d = 5 * math.sqrt(3)
     assert res.c_d == pytest.approx(c_d, abs=1e-9)
+    assert not res.converged
+    assert res.a_dist == A_CAP
 
     def cg(a):
         return math.sqrt(3) * max((2 / 3) * (1 + 3.0), 5 * (4 * c_d + a))
 
+    iterates = path3_iterates(monkeypatch, 3)
     a = 3.0
     for step in range(1, 4):
         a = max(3.0, 2 * c_d + cg(a))
-        assert res.trace[step] == pytest.approx(a, rel=1e-12)
-    assert res.trace[1] == pytest.approx(300 + 25 * math.sqrt(3), rel=1e-12)
-    assert not res.converged
-    assert res.a_dist == A_CAP
+        assert iterates[step - 1] == pytest.approx(a, rel=1e-12)
+    assert iterates[0] == pytest.approx(300 + 25 * math.sqrt(3), rel=1e-12)
 
 
-def test_constants_divergence_is_geometric_when_k0_branch_active():
+def test_constants_divergence_is_geometric_when_k0_branch_active(monkeypatch):
     # slope of the recurrence is k0*sqrt(n) >= 1, so no interior fixed point
-    g = metropolis_weights(path3())
-    with pytest.warns(RuntimeWarning):
-        res = algorithm_constants(g, 3, 1.0, 1.0, 1.0)
-    ratios = np.diff(res.trace[2:8]) / np.diff(res.trace[1:7])
+    iterates = path3_iterates(monkeypatch, 7)
+    ratios = np.diff(iterates[1:7]) / np.diff(iterates[0:6])
     np.testing.assert_allclose(ratios, 5 * math.sqrt(3), rtol=1e-9)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from delayfw.geometry import ConstraintSet
+from _fixtures import feedback_spy
 from _reference import ftpl_query_expected
 from delayfw.oracle import FtplOracle
 
@@ -20,10 +21,11 @@ def make_oracle(noise, cset=L1, zeta=1.0):
     return o
 
 
-def test_new_oracle_state():
+def test_new_oracle_state(monkeypatch):
+    absorbed = feedback_spy(monkeypatch)
     o = FtplOracle(ConstraintSet("l1_ball", 1.0, 2), 0.5, seed=7)
     np.testing.assert_array_equal(o.accum, [[0.0, 0.0]])
-    assert o.feedback_count == 0
+    assert absorbed == []  # construction feeds nothing
     assert np.all((o.noise >= 0.0) & (o.noise <= 1.0))
 
 
@@ -81,12 +83,13 @@ def test_query_pure_between_feedbacks():
     np.testing.assert_array_equal(o.accum, [[0.4, -0.2]])
 
 
-def test_feedback_accumulates():
+def test_feedback_accumulates(monkeypatch):
+    absorbed = feedback_spy(monkeypatch)
     o = make_oracle([0.0, 0.0])
     o.feedback([[1.0, 1.0]])
     o.feedback([[2.0, -1.0]])
     np.testing.assert_array_equal(o.accum, [[3.0, 0.0]])
-    assert o.feedback_count == 2
+    assert absorbed == [o, o]
 
 
 def test_zero_feedback_leaves_query_unchanged():

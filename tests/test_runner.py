@@ -434,6 +434,11 @@ def test_sweep_cells_validated_before_any_run(tmp_path):
     with pytest.raises(runner.ConfigError, match="<= n"):
         runner.run_sweep(cfg, "f", [0, 9], str(tmp_path / "fsw"))
     assert not any(tmp_path.rglob("*_f*"))
+    # an erdos_renyi cell that cannot be drawn connected stops the complete cell too
+    cfg = parse(minimal_distributed(topology={"kind": "cycle", "n": 30, "p": 0.01}))
+    with pytest.raises(runner.ConfigError, match="^topology: erdos_renyi: no connected graph"):
+        runner.run_sweep(cfg, "topology", ["complete", "erdos_renyi"], str(tmp_path / "sw"))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("vary,values", [("dmax", [3, 3]), ("topology", ["cycle", "grid", "cycle"]),
@@ -482,6 +487,9 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     bad = write_cfg(tmp_path, minimal_centralized(bogus=True), "bad.json")
     assert cli.main(["validate", "--config", bad]) == 1
     assert "unknown keys" in capsys.readouterr().err
+    never_connected = minimal_distributed(topology={"kind": "erdos_renyi", "n": 30, "p": 0.01})
+    assert cli.main(["validate", "--config", write_cfg(tmp_path, never_connected)]) == 1
+    assert "config error: topology: erdos_renyi: no connected graph" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
