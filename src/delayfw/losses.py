@@ -25,11 +25,17 @@ It matches the trailing-axis formulas (kept in tests/_reference.py) bit
 for bit: the max is exact in any order, and the class sums follow numpy's
 own sum(axis=-1) order.  Trace bytes therefore depend on numpy's
 class-sum order, as they already depend on numpy's version.
+
+The comparator evaluates the one-batch aggregate with ``value_grad``: one
+logits product and one max/exp/class-sum give both value and gradient.
+It picks the label logits by flat index, not by adding the mask's zeros;
+only a -0.0 logit differs, and lse - picked (lse is never -0.0) cancels it.
 """
 
 from __future__ import annotations
 
 import csv as _csv
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +131,27 @@ class SoftmaxLoss:
         g = z.swapaxes(-1, -2) @ self.features  # (..., C, p)
         return g.reshape(g.shape[:-2] + (self.dim,))
 
+    @cached_property
+    def _picks(self) -> np.ndarray:  # flat indices of the labels in a class-major (C, batch) array
+        return self.labels * self.labels.size + np.arange(self.labels.size)
+
+    def value_grad(self, x) -> tuple:
+        """(value(x), grad(x)) bit for bit at one point x (m,) on one (batch, p) batch."""
+        if self.features.ndim != 2 or np.ndim(x) != 1:
+            raise ValueError("value_grad takes one point on a single (batch, p) batch")
+        z = self._logits(x)  # (batch, C)
+        probs = z.T.copy()  # (C, batch)
+        picked = probs.reshape(-1)[self._picks]
+        zmax = np.maximum.reduce(probs, axis=0)
+        probs -= zmax
+        np.exp(probs, out=probs)
+        total = _class_sum(probs)
+        value = float((zmax + np.log(total) - picked).sum())
+        probs /= total
+        probs.reshape(-1)[self._picks] -= 1.0  # the one-hot, as a scatter
+        z.T[...] = probs
+        return value, (z.T @ self.features).reshape(self.dim)
+
 
 def _class_major(ndim: int) -> tuple:
     """Axis order that moves the trailing class axis to the front."""
@@ -193,20 +220,18 @@ class LossStream:
         return self._agg
 
     def total_value(self, x) -> float:
-        """sum_t F_t(x), the objective the comparator minimizes."""
-        n = self.n_agents
+        """sum_t F_t(x), the objective the comparator minimizes: total_grad's value."""
+        return self.total_grad(x)[0]
+
+    def total_grad(self, x) -> tuple:
+        """(sum_t F_t(x), its gradient) from one evaluation of the aggregate."""
         if self.kind == "quadratic":
             count, theta_sum, theta_sq = self._aggregate()
             x = np.asarray(x, dtype=np.float64)
-            return (0.5 * count * float(x @ x) - float(theta_sum @ x) + 0.5 * theta_sq) / n
-        return self._aggregate().value(x) / n
-
-    def total_grad(self, x) -> np.ndarray:
-        n = self.n_agents
-        if self.kind == "quadratic":
-            count, theta_sum, _ = self._aggregate()
-            return (count * np.asarray(x, dtype=np.float64) - theta_sum) / n
-        return self._aggregate().grad(x) / n
+            value = 0.5 * count * float(x @ x) - float(theta_sum @ x) + 0.5 * theta_sq
+            return value / self.n_agents, (count * x - theta_sum) / self.n_agents
+        value, grad = self._aggregate().value_grad(x)
+        return value / self.n_agents, grad / self.n_agents
 
 
 def estimate_constants(stream: LossStream, cset) -> tuple:

@@ -27,10 +27,6 @@ from .losses import LossStream
 _BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses call
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
 @dataclass
 class RunTrace:
     """Per-round record of one run.
@@ -77,17 +73,14 @@ class RunTrace:
         for key in sorted(self.metadata):
             out.write(f"#{key}={self.metadata[key]}\n")
         cols = ["t", "inst_loss", "cum_loss", "regret_prefix"]
-        diag = self.consensus is not None
-        if diag:
+        columns = [range(1, self.T + 1), self.inst_loss.tolist(), self.cum_loss.tolist(),
+                   self.regret_prefix.tolist()]
+        if self.consensus is not None:
             cols += ["consensus_max", "tracking_max"]
+            columns += [self.consensus.max(axis=1).tolist(), self.tracking.max(axis=1).tolist()]
         out.write(",".join(cols) + "\n")
-        cum = self.cum_loss
-        for t in range(self.T):
-            row = [str(t + 1), _fmt(self.inst_loss[t]), _fmt(cum[t]), _fmt(self.regret_prefix[t])]
-            if diag:
-                row.append(_fmt(float(np.max(self.consensus[t]))))
-                row.append(_fmt(float(np.max(self.tracking[t]))))
-            out.write(",".join(row) + "\n")
+        row = "%d" + ",%.9g" * (len(columns) - 1) + "\n"
+        out.write("".join(row % r for r in zip(*columns)))
         return out.getvalue()
 
     def write_csv(self, path) -> None:
@@ -139,34 +132,36 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
     max_iters.  Otherwise it takes the step x' = project(y - grad Phi(y)/L)
     from the momentum point y, doubling L (from 1.0) until the quadratic
     upper bound of Phi at y holds at x', then moves y by Nesterov's
-    momentum (Beck & Teboulle 2009).  The default per-round tol is 1e-6
-    times the per-round loss scale at the start vertex, so comparator error
-    sits far below any regret being measured.  Non-convergence is reported
-    through the gap and converged fields, never raised.
+    momentum (Beck & Teboulle 2009).  Each point is evaluated once, value
+    and gradient together: the start vertex (the first y), each later y
+    and each trial x'; the accepted x' gives the next gap its gradient.
+    Default tol: 1e-6 * max(1, per-round loss at the start vertex).  A run
+    that does not converge says so in gap and converged, never raises.
     """
     x = cset.lmo(np.zeros(cset.dim))
     T = stream.T
+    fx, grad = stream.total_grad(x)
     if tol is None:
-        tol = 1e-6 * max(1.0, stream.total_value(x) / T)
-    y, momentum, L = x, 1.0, 1.0
-    gap = math.inf
-    it = 0
+        tol = 1e-6 * max(1.0, fx / T)
+    y, fy, gy, momentum, L = x, fx, grad, 1.0, 1.0
+    gap, it = math.inf, 0
     for it in range(max_iters + 1):
-        grad = stream.total_grad(x)
         v = cset.lmo(grad)
         gap = float(grad @ (x - v))
         if gap <= tol * T or it == max_iters:
             break
-        fy, gy = stream.total_value(y), stream.total_grad(y)
+        if it > 0:  # the first momentum point is the start vertex
+            fy, gy = stream.total_grad(y)
         while True:
             z = cset.project(y - gy / L)
             step = z - y
-            if stream.total_value(z) <= fy + float(gy @ step) + 0.5 * L * float(step @ step):
+            fz, gz = stream.total_grad(z)
+            if fz <= fy + float(gy @ step) + 0.5 * L * float(step @ step):
                 break
             L *= 2.0
         nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         y = z + ((momentum - 1.0) / nxt) * (z - x)
-        x, momentum = z, nxt
+        x, grad, momentum = z, gz, nxt
     return Comparator(x, gap, it, gap <= tol * T)
 
 

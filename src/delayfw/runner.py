@@ -109,7 +109,7 @@ CONFIG_KEYS = {
     },
     "topology": {
         "kind": (str, REQUIRED, (lambda v: v in TOPOLOGY_KINDS, f"one of {TOPOLOGY_KINDS}")),
-        "n": (int, REQUIRED, _AT_LEAST_1),
+        "n": (int, REQUIRED, (lambda v: 1 <= v <= 4096, "in 1..4096")),  # W is dense n x n
         "p": (float, 0.3, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
         "seed": (int, 0, _AT_LEAST_0),
     },

@@ -6,12 +6,19 @@ checked against an independent wiring of the same arithmetic.  The
 softmax functions are the loss formulas with every max and sum along the
 trailing class axis; the class-major kernel must match them bit for bit.
 ftpl_query_expected averages an FTPL prediction over fresh noise draws,
-for the tests of the oracle's expected behaviour.
+for the tests of the oracle's expected behaviour.  comparator_four_calls
+is the comparator loop that evaluates the summed loss's value and its
+gradient in separate calls, four per iteration at two distinct points;
+the fused comparator must match it bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from delayfw import seeding
+from delayfw.losses import SoftmaxLoss
+from delayfw.metrics import Comparator
 
 _MC_CHUNK = 16384
 
@@ -101,6 +108,65 @@ def softmax_grad(loss, x):
     probs -= loss.labels[..., None] == np.arange(loss.n_classes)
     g = np.swapaxes(probs, -1, -2) @ loss.features  # (..., C, p)
     return g.reshape(g.shape[:-2] + (loss.dim,))
+
+
+def total_value(stream, x):
+    """sum_t F_t(x) from the quadratic closed form or the softmax aggregate's value."""
+    x = np.asarray(x, dtype=np.float64)
+    if stream.kind == "quadratic":
+        thetas = stream.losses.theta.reshape(-1, stream.dim)
+        value = (0.5 * len(thetas) * float(x @ x) - float(thetas.sum(axis=0) @ x)
+                 + 0.5 * float(np.sum(thetas**2)))
+    else:
+        value = _softmax_aggregate(stream).value(x)
+    return value / stream.n_agents
+
+
+def total_grad(stream, x):
+    """The gradient of sum_t F_t at x, from the closed form or the aggregate's grad."""
+    x = np.asarray(x, dtype=np.float64)
+    if stream.kind == "quadratic":
+        thetas = stream.losses.theta.reshape(-1, stream.dim)
+        return (len(thetas) * x - thetas.sum(axis=0)) / stream.n_agents
+    return _softmax_aggregate(stream).grad(x) / stream.n_agents
+
+
+def _softmax_aggregate(stream):
+    f = stream.losses
+    return SoftmaxLoss(f.features.reshape(-1, f.p), f.labels.reshape(-1), f.n_classes)
+
+
+def comparator_four_calls(stream, cset, max_iters=5000, tol=None):
+    """FISTA comparator with a separate value and gradient call per point.
+
+    Each iteration evaluates the gradient at x, the value and the gradient
+    at y, and the value at every trial point; otherwise the same steps as
+    metrics.compute_comparator.
+    """
+    x = cset.lmo(np.zeros(cset.dim))
+    T = stream.T
+    if tol is None:
+        tol = 1e-6 * max(1.0, total_value(stream, x) / T)
+    y, momentum, L = x, 1.0, 1.0
+    gap = math.inf
+    it = 0
+    for it in range(max_iters + 1):
+        grad = total_grad(stream, x)
+        v = cset.lmo(grad)
+        gap = float(grad @ (x - v))
+        if gap <= tol * T or it == max_iters:
+            break
+        fy, gy = total_value(stream, y), total_grad(stream, y)
+        while True:
+            z = cset.project(y - gy / L)
+            step = z - y
+            if total_value(stream, z) <= fy + float(gy @ step) + 0.5 * L * float(step @ step):
+                break
+            L *= 2.0
+        nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        y = z + ((momentum - 1.0) / nxt) * (z - x)
+        x, momentum = z, nxt
+    return Comparator(x, gap, it, gap <= tol * T)
 
 
 def ftpl_query_expected(cset, zeta, accum, samples, seed):

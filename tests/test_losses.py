@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 from _reference import softmax_grad, softmax_value
 
 from delayfw.geometry import ConstraintSet
@@ -235,7 +236,7 @@ def test_quadratic_stream_and_aggregates():
     brute_grad = sum(
         sum(stream.loss(i, t).grad(x) for i in range(2)) / 2.0 for t in range(1, 7)
     )
-    np.testing.assert_allclose(stream.total_grad(x), brute_grad, atol=1e-12)
+    np.testing.assert_allclose(stream.total_grad(x)[1], brute_grad, atol=1e-12)
 
 
 def test_softmax_aggregates_match_brute_force():
@@ -246,7 +247,58 @@ def test_softmax_aggregates_match_brute_force():
     brute_grad = sum(
         sum(stream.loss(i, t).grad(x) for i in range(3)) / 3.0 for t in range(1, 5)
     )
-    np.testing.assert_allclose(stream.total_grad(x), brute_grad, atol=1e-10)
+    np.testing.assert_allclose(stream.total_grad(x)[1], brute_grad, atol=1e-10)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(C=st.one_of(st.sampled_from([7, 8, 9, 127, 128, 129]), st.integers(1, 300)),
+       p=st.integers(1, 12), N=st.integers(1, 60),
+       point=st.sampled_from(["normal", "tied", "zeros"]), zero_rows=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_value_grad_is_value_and_grad_bitwise(C, p, N, point, zero_rows, seed):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(N, p))
+    if zero_rows:
+        features[rng.random(N) < 0.5] = 0.0
+    loss = SoftmaxLoss(features, rng.integers(0, C, size=N), C)
+    if point == "tied":  # every class block equal: all C logits of a sample tie
+        x = np.tile(rng.normal(size=p), C)
+    elif point == "zeros":  # signed zeros, some entries nonzero
+        x = np.where(rng.random(p * C) < 0.5, -0.0, 0.0)
+        x[rng.random(p * C) < 0.2] = rng.normal()
+    else:
+        x = rng.normal(scale=3.0, size=p * C)
+    value, grad = loss.value_grad(x)
+    assert same_bits(value, loss.value(x))
+    assert same_bits(grad, loss.grad(x))
+
+
+def test_value_grad_takes_one_point_on_one_batch():
+    stack = synth_stream(seed=1, T=2, p=2, C=3, batch=4).losses  # (1, 2) stack
+    with pytest.raises(ValueError, match="one point on a single"):
+        stack.value_grad(np.zeros(6))
+    with pytest.raises(ValueError, match="one point on a single"):
+        stack[0, 0].value_grad(np.zeros((2, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(loss=st.sampled_from(["quadratic", "softmax"]), n=st.integers(1, 4), T=st.integers(1, 9),
+       zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_total_grad_pair_matches_separate_evaluations(loss, n, T, zeros, seed):
+    if loss == "quadratic":
+        stream = synth_quadratic_stream(seed, T, 5, n_agents=n)
+    else:
+        stream = synth_stream(seed, T, p=2, C=3, batch=3, n_agents=n)
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(stream.dim) < 0.5, -0.0, 0.0) if zeros else rng.normal(size=stream.dim)
+    value, grad = stream.total_grad(x)
+    assert same_bits(value, _reference.total_value(stream, x))
+    assert same_bits(grad, _reference.total_grad(stream, x))
+    assert same_bits(stream.total_value(x), value)
 
 
 def test_stream_validation():

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import read_trace_csv
+from _reference import comparator_four_calls
+from delayfw import runner
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, synth_quadratic_stream, synth_stream
 from delayfw.metrics import (
@@ -24,6 +26,7 @@ from delayfw.metrics import (
 )
 
 L1_2D = ConstraintSet("l1_ball", 1.0, 2)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def alternating_stream(T):
@@ -115,6 +118,66 @@ def test_comparator_certificate_properties(loss, kind, n, T, p, C, radius, tol, 
         xstar = cset.project(thetas.sum(axis=0) / len(thetas))
         dist2 = float(np.sum((comp.x - xstar) ** 2))
         assert dist2 <= comp.gap / T + 1e-12 * (1.0 + radius * radius)
+
+
+def assert_same_comparator(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (repr(a.gap), a.iterations, a.converged) == (repr(b.gap), b.iterations, b.converged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loss=st.sampled_from(["quadratic", "softmax"]), kind=st.sampled_from(KINDS),
+       n=st.integers(1, 4), T=st.integers(1, 12), p=st.integers(1, 4), C=st.integers(1, 4),
+       radius=st.floats(0.1, 8.0), max_iters=st.sampled_from([3, 300]),
+       seed=st.integers(0, 2**32 - 1))
+def test_comparator_matches_four_call_loop(loss, kind, n, T, p, C, radius, max_iters, seed):
+    dim = p * C
+    if loss == "quadratic":
+        stream = synth_quadratic_stream(seed, T, dim, n_agents=n, scale=radius)
+    else:
+        stream = synth_stream(seed, T, p=p, C=C, batch=3, n_agents=n)
+    cset = ConstraintSet(kind, radius, dim)
+    assert_same_comparator(compute_comparator(stream, cset, max_iters=max_iters),
+                           comparator_four_calls(stream, cset, max_iters=max_iters))
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name for the rest of the test."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_comparator_halving_and_capped_runs_match_four_call_loop(kind, monkeypatch):
+    stream = synth_stream(3, T=20, p=3, C=3, batch=4, n_agents=2)
+    cset = ConstraintSet(kind, 4.0, 9)
+    projects = counting(monkeypatch, ConstraintSet, "project")
+    comp = compute_comparator(stream, cset)
+    assert comp.converged and projects[0] > comp.iterations  # L doubled at least once
+    assert_same_comparator(comp, comparator_four_calls(stream, cset))
+    capped = compute_comparator(stream, cset, max_iters=4)
+    assert (capped.iterations, capped.converged) == (4, False)
+    assert_same_comparator(capped, comparator_four_calls(stream, cset, max_iters=4))
+
+
+def test_comparator_evaluates_each_point_once(monkeypatch):
+    # the shipped distributed softmax example, seed 0 (the net_softmax benchmark workload)
+    cfg = runner.parse_config(os.path.join(ROOT, "configs", "distributed_softmax.json"))
+    stream = runner._build_stream(cfg, 0)
+    cset = ConstraintSet(cfg.set["kind"], cfg.set["radius"], cfg.dim)
+    evaluations = counting(monkeypatch, LossStream, "total_grad")
+    projects = counting(monkeypatch, ConstraintSet, "project")
+    comp = compute_comparator(stream, cset)
+    # the start vertex, every momentum point after the first, every trial point
+    assert evaluations[0] == comp.iterations + projects[0]
+    assert (comp.iterations, projects[0]) == (76, 81)
 
 
 # -- regret ----------------------------------------------------------------------
@@ -227,6 +290,19 @@ def test_csv_nine_significant_digits(tmp_path):
                      regret_prefix=np.array([2.0 / 3.0]))
     assert "0.333333333" in trace.csv_text()
     assert "0.666666667" in trace.csv_text()
+
+
+def test_csv_rows_print_each_float_with_format_9g():
+    vals = np.array([0.0, -0.0, 1e-320, 1e17, -2.5e-7, 1.0 / 3.0, math.inf, math.nan])
+    T = len(vals)
+    trace = RunTrace(mode="de2mfw", decisions=np.zeros((T, 2, 1)), inst_loss=vals,
+                     metadata={}, regret_prefix=vals[::-1].copy(),
+                     consensus=np.column_stack([vals, vals]), tracking=np.ones((T, 3)))
+    rows = trace.csv_text().splitlines()[1:]
+    cum = np.cumsum(vals)
+    for t in range(T):
+        want = [vals[t], cum[t], vals[T - 1 - t], vals[t], 1.0]
+        assert rows[t] == ",".join([str(t + 1)] + [f"{v:.9g}" for v in want])
 
 
 def test_write_is_atomic_no_temp_left(tmp_path):

@@ -511,6 +511,16 @@ def test_cli_rejects_integers_too_large_for_a_float(tmp_path, capsys):
     assert "set.radius: integer too large for a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("topo", [{"kind": "grid", "n": 10**400},
+                                  {"kind": "erdos_renyi", "n": 10**9}])
+def test_cli_bounds_the_agent_count(tmp_path, capsys, topo):
+    # a dense n x n gossip matrix: 4096 agents take 128 MiB
+    path = write_cfg(tmp_path, minimal_distributed(topology=topo))
+    assert cli.main(["validate", "--config", path]) == 1
+    assert "config error: topology.n: must be in 1..4096" in capsys.readouterr().err
+    assert parse(minimal_distributed(topology={"kind": "cycle", "n": 4096})).n_agents == 4096
+
+
 def test_cli_runtime_failure_exit_2(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, minimal_centralized())
     monkeypatch.setattr(runner, "run_experiment",
