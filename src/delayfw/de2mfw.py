@@ -55,7 +55,8 @@ instrumentation.
 
 Default constants follow the sqrt(BT)-regret tuning: K = ceil(sqrt(T)),
 eta_k = min(1, A/k) and zeta = 1/(G*sqrt(B)), with A = max(3, G/(beta*D))
-centrally and A from the joint (A, C_g) resolution on a network.  The
+centrally and A = max(3, 3G/(2*beta*D)) on a network (algorithm_constants;
+the network module says why the rule's third term is dropped).  The
 simulator knows the schedule and can use the true total delay B; a
 dmax*T substitute is available for runs that refuse that foresight.
 """
@@ -106,9 +107,16 @@ def centralized_params(T: int, G: float, beta: float, D: float, B_est: float,
     return replace(params, A=max(3.0, G / (beta * D)))
 
 
+def algorithm_constants(G: float, beta: float, D: float) -> float:
+    """The network step constant A = max(3, 3G/(2 beta D))."""
+    if min(G, beta, D) <= 0:
+        raise ValueError("G, beta, D must all be positive")
+    return max(3.0, 3.0 * G / (2.0 * beta * D))
+
+
 def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_dist: float,
                        K: int | None = None, zeta: float | None = None) -> AlgoParams:
-    """Network tuning: A from the joint (A, C_g) resolution, zeta = 1/(G sqrt B).
+    """Network tuning: A = a_dist (algorithm_constants by default), zeta = 1/(G sqrt B).
 
     B_est is the across-agent mean of per-agent delay sums.
     """

@@ -3,34 +3,26 @@
 The gossip matrix W assigns edge (i,j) the Metropolis weight
 1/(1 + max{tau_i, tau_j}) with degrees tau, and puts the leftover mass on
 the diagonal, which makes W symmetric and doubly stochastic on any
-connected graph.  The distributed algorithm's step constants come from the
-second-largest eigenvalue lambda(W):
+connected graph.  Its second-largest eigenvalue lambda(W) gives
 
-    rho = 1 - lambda,   k0 = min{k >= 1 : lambda <= (k/(k+1))^2}
-    C_d = k0 * sqrt(n) * D
-    C_g = sqrt(n) * max{lambda*(G + beta*D/rho), k0*beta*(4*C_d + A*D)}
-    A   = max{3, 3G/(2*beta*D), (2*beta*C_d + C_g)/(beta*D)}
+    k0 = min{k >= 1 : lambda <= (k/(k+1))^2},   C_d = k0 * sqrt(n) * D
 
-A and C_g reference each other, so they are resolved by fixed-point
-iteration from A0 = max{3, 3G/(2*beta*D)}.  Whenever the k0-branch of C_g
-is active the iteration's slope is k0*sqrt(n) >= 1 and the sequence grows
-without bound; growth past A_CAP is detected, reported through a warning,
-and the capped value is returned (the run proceeds with step sizes
-eta_k = min(1, A/k), which are then 1 at every k anyone will reach).
+and the consensus error of step k is at most C_d/k, which the selftest
+checks.  The network step constant A sits in de2mfw with the other step
+rules.  Its transcribed rule's third term (2*beta*C_d + C_g(A))/(beta*D)
+exceeds A for every A, as C_g grows with slope k0*sqrt(n) >= 1 in A, so
+A >= that term has no finite solution and A keeps the first two terms.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 TOPOLOGY_KINDS = ("complete", "cycle", "grid", "erdos_renyi")
 
-A_CAP = 1e12
-_FP_MAX_ITERS = 100
 ER_MAX_ATTEMPTS = 1000  # erdos_renyi draws before giving up
 
 
@@ -185,42 +177,3 @@ def k0_of(lam: float) -> int:
     while lam > (k / (k + 1.0)) ** 2:
         k += 1
     return k
-
-
-@dataclass(frozen=True)
-class AlgorithmConstants:
-    c_d: float
-    c_g: float
-    a_dist: float
-    converged: bool
-    iterations: int
-
-
-def algorithm_constants(gossip: GossipMatrix, n: int, D: float, G: float, beta: float) -> AlgorithmConstants:
-    """Resolve (C_d, C_g, A) jointly; see the module docstring for the rule."""
-    if min(D, G, beta) <= 0:
-        raise ValueError("D, G, beta must all be positive")
-    lam, k0 = gossip.lambda2, gossip.k0
-    rho = 1.0 - lam
-    c_d = k0 * math.sqrt(n) * D
-
-    def c_g_of(a: float) -> float:
-        return math.sqrt(n) * max(lam * (G + beta * D / rho), k0 * beta * (4.0 * c_d + a * D))
-
-    a = a0 = max(3.0, 3.0 * G / (2.0 * beta * D))
-    converged, it = False, 0
-    for it in range(1, _FP_MAX_ITERS + 1):
-        nxt = max(a0, (2.0 * beta * c_d + c_g_of(a)) / (beta * D))
-        converged = abs(nxt - a) <= 1e-9 * max(1.0, abs(a))
-        a = nxt
-        if converged or a > A_CAP:
-            break
-    if not converged:
-        a = min(a, A_CAP)
-        warnings.warn(
-            f"A/C_g fixed point did not converge after {it} iterations; "
-            f"proceeding with A capped at {a:g} (every eta_k = min(1, A/k) is 1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return AlgorithmConstants(c_d, c_g_of(a), a, converged, it)

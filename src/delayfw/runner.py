@@ -25,15 +25,14 @@ import json
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding
 from .baselines import dgd_run, dofw_run
-from .de2mfw import (NetworkRun, centralized_params, de2mfw_run, delmfw_run,
-                     distributed_params, run_rounds)
+from .de2mfw import (NetworkRun, algorithm_constants, centralized_params, de2mfw_run,
+                     delmfw_run, distributed_params, run_rounds)
 from .delay import DelaySchedule, gen_delays, schedule_from_csv
 from .geometry import KINDS, ConstraintSet
 from .losses import (
@@ -45,7 +44,7 @@ from .losses import (
 )
 from .metrics import attach_regret, compute_comparator, consensus_error
 from .metrics import write_atomic as _write_atomic  # the benchmark's self-check patches this name
-from .network import TOPOLOGY_KINDS, algorithm_constants, metropolis_weights, topology
+from .network import TOPOLOGY_KINDS, metropolis_weights, topology
 
 MODES = ("centralized", "distributed", "baseline_dofw", "baseline_dgd")
 ZETA_MODES = ("true_B", "dmax_bound", "explicit")
@@ -332,13 +331,10 @@ def run_single(cfg: ExperimentConfig, run_seed: int):
         params = centralized_params(cfg.T, g, beta, d, b_est, K=cfg.K_override, zeta=cfg.zeta)
         trace = delmfw_run(cset, stream, schedules[0], params, run_seed)
     elif cfg.mode == "distributed":
-        topo = topology(**cfg.topology)
-        gossip = metropolis_weights(topo)
-        consts = algorithm_constants(gossip, topo.n, d, g, beta)
-        params = distributed_params(cfg.T, g, beta, d, b_est, a_dist=consts.a_dist,
+        params = distributed_params(cfg.T, g, beta, d, b_est, algorithm_constants(g, beta, d),
                                     K=cfg.K_override, zeta=cfg.zeta)
-        trace = de2mfw_run(cset, stream, schedules, topo, params, run_seed,
-                           diagnostics=cfg.diagnostics)
+        trace = de2mfw_run(cset, stream, schedules, topology(**cfg.topology), params,
+                           run_seed, diagnostics=cfg.diagnostics)
     elif cfg.mode == "baseline_dofw":
         trace = dofw_run(cset, stream, schedules[0], d / (g * math.sqrt(cfg.T)), run_seed)
     else:
@@ -483,12 +479,8 @@ def _selftest_network_run() -> dict:
                  for i in range(n)]
     g, beta = estimate_constants(stream, cset)
     d = cset.diameter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        consts = algorithm_constants(gossip, n, d, g, beta)
-    params = distributed_params(T, g, beta, d,
-                                float(np.mean([s.B for s in schedules])),
-                                a_dist=consts.a_dist, K=K)
+    params = distributed_params(T, g, beta, d, float(np.mean([s.B for s in schedules])),
+                                algorithm_constants(g, beta, d), K=K)
     run = NetworkRun(cset, gossip, params, seed=0, window=dmax)
     bound = gossip.k0 * math.sqrt(n) * d / np.arange(1, K + 1)  # C_d / k
     etas = np.array([params.eta(k) for k in range(1, K + 1)])

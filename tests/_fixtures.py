@@ -13,6 +13,7 @@ and ``read_trace_csv``, which parses a written trace back into arrays.
 
 import numpy as np
 
+from delayfw import runner
 from delayfw.baselines import dofw_run
 from delayfw.de2mfw import AlgoParams, de2mfw_run, delmfw_run
 from delayfw.delay import DelaySchedule
@@ -150,6 +151,25 @@ def golden_softmax_central():
     schedule = DelaySchedule(SOFTMAX_CENTRAL_DELAYS, dmax=3)
     trace = delmfw_run(cset, stream, schedule, SOFTMAX_CENTRAL_PARAMS, seed=0)
     return with_comparator(trace, stream, cset), stream, schedule
+
+
+# The one golden built from a config: it pins the default K and zeta and
+# de2mfw.algorithm_constants, which every hand-made AlgoParams above bypasses.
+DE2MFW_CONFIG = {
+    "mode": "distributed",
+    "T": 8,
+    "set": {"kind": "l1_ball", "radius": 1.0, "dim": 3},
+    "loss": {"kind": "quadratic"},
+    "topology": {"kind": "cycle", "n": 3},
+    "delay": {"dmax": 2},
+    "seeds": [0],
+}
+
+
+def golden_de2mfw_config():
+    """De2MFW through runner.run_single, as `delayfw run` builds it: cycle n = 3, T = 8."""
+    cfg = runner.config_from_dict(DE2MFW_CONFIG)
+    return runner.run_single(cfg, 0), cfg
 
 
 def read_trace_csv(path):

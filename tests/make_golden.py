@@ -13,6 +13,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from _fixtures import (  # noqa: E402
     golden_de2mfw,
+    golden_de2mfw_config,
     golden_delmfw,
     golden_dofw,
     golden_softmax_central,
@@ -27,7 +28,8 @@ def main():
                         ("de2mfw_n3.csv", golden_de2mfw),
                         ("dofw_t3.csv", golden_dofw),
                         ("softmax_net_c3.csv", golden_softmax_net),
-                        ("softmax_central_c9.csv", golden_softmax_central)]:
+                        ("softmax_central_c9.csv", golden_softmax_central),
+                        ("de2mfw_config.csv", golden_de2mfw_config)]:
         trace = build()[0]
         path = os.path.join(out_dir, name)
         trace.write_csv(path)

@@ -16,7 +16,7 @@ from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw
 from _reference import meta_fw_run
 from delayfw import runner, seeding
 from delayfw.baselines import dofw_run
-from delayfw.de2mfw import AlgoParams, centralized_params, de2mfw_run, delmfw_run, distributed_params
+from delayfw.de2mfw import AlgoParams, centralized_params, de2mfw_run, delmfw_run
 from delayfw.delay import DelaySchedule, gen_delays
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import synth_quadratic_stream, synth_stream
@@ -267,28 +267,18 @@ def test_criterion_7_delay_sensitivity():
 
 
 def test_criterion_8_topology_sensitivity():
+    """Built from configs through runner.run_single, so the runs take the default tuning."""
     start = time.perf_counter()
-    n, T, dim = 16, 300, 8
-    dmax = T // 2
-    cset = ConstraintSet("l1_ball", 1.0, dim)
-    from delayfw.losses import estimate_constants
 
     def total_loss(seed, kind, delayed):
-        stream = synth_quadratic_stream(seeding.rng_for(seed, seeding.STREAM_LOSS, 8),
-                                        T, dim, n_agents=n, scale=0.8)
-        if delayed:
-            schedules = [gen_delays(T, dmax,
-                                    seeding.rng_for(seed, seeding.STREAM_DELAY, 8, i))
-                         for i in range(n)]
-        else:
-            schedules = [DelaySchedule(np.ones(T, dtype=int), 1) for _ in range(n)]
-        topo = topology(kind, n)
-        G, beta = estimate_constants(stream, cset)
-        b_est = float(np.mean([s.B for s in schedules]))
-        params = distributed_params(T, G, beta, cset.diameter(), b_est, a_dist=3.0)
-        trace = de2mfw_run(cset, stream, schedules, topo, params, seed=seed,
-                           diagnostics=False)
-        return trace.total_loss
+        cfg = runner.config_from_dict({
+            "mode": "distributed", "T": 300,
+            "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+            "loss": {"kind": "quadratic", "seed": 8},
+            "topology": {"kind": kind, "n": 16},
+            "delay": {"dmax": 150 if delayed else 1, "seed": 8},
+            "diagnostics": False, "seeds": [seed]})
+        return runner.run_single(cfg, seed).total_loss
 
     wins = 0
     rels = []

@@ -66,7 +66,7 @@ def test_run_single_hands_the_engines_a_set_and_a_stream(monkeypatch):
             "loss": {"kind": "quadratic"}, "delay": {"dmax": 2}, "seeds": [0]}
     runner.run_single(runner.config_from_dict(body), 0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the A cap of a network run
+        warnings.simplefilter("error")  # a network run warns of nothing
         runner.run_single(runner.config_from_dict(
             {**body, "mode": "distributed", "topology": {"kind": "cycle", "n": 4}}), 0)
     assert [trace.decisions.shape for _, trace in seen] == [(6, 3), (6, 4, 3)]

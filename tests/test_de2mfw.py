@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _fixtures import bits, feedback_spy, round_recorder
 from _reference import gossip_fw_round, meta_fw_run
+from delayfw import runner
 from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
                             distributed_params, run_rounds)
 from delayfw.delay import DelaySchedule, gen_delays
@@ -31,6 +32,7 @@ def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None):
     schedules = [gen_delays(T, dmax, seed=seed + 100 + i) for i in range(n)]
     G, beta = estimate_constants(stream, cset)
     b_est = float(np.mean([s.B for s in schedules]))
+    # a fixed A: these tests pin the engine's arithmetic, not the tuning
     params = distributed_params(T, G, beta, cset.diameter(), b_est, a_dist=3.0,
                                 K=K or math.ceil(math.sqrt(T)))
     run = NetworkRun(cset, gossip, params, seed, dmax)
@@ -48,6 +50,23 @@ def test_distributed_params():
     assert p.zeta == pytest.approx(1.0 / (2.0 * 3.0))
     with pytest.raises(ValueError):
         distributed_params(T=100, G=0.0, beta=1.0, D=2.0, B_est=9.0, a_dist=3.0)
+
+
+def test_default_tuning_regret_is_sublinear_on_a_cycle():
+    """Built from configs through runner.run_single: K, zeta and the network A as
+    `delayfw run` resolves them.  Mean final regret over two seeds must grow
+    with a log-log slope of at most 0.8 from T = 256 to T = 1024 (0.98 when
+    every eta_k was 1)."""
+    means = {}
+    for T in (64, 256, 1024):
+        cfg = runner.config_from_dict({
+            "mode": "distributed", "T": T,
+            "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+            "loss": {"kind": "quadratic"}, "topology": {"kind": "cycle", "n": 9},
+            "delay": {"dmax": 4}, "diagnostics": False, "seeds": [0, 1]})
+        means[T] = float(np.mean([runner.run_single(cfg, s).final_regret for s in cfg.seeds]))
+    slopes = [math.log(means[4 * T] / means[T]) / math.log(4) for T in (64, 256)]
+    assert slopes[1] <= 0.8, f"mean final regret {means}, local slopes {slopes}"
 
 
 # -- n = 1 reduction -----------------------------------------------------------

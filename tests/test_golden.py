@@ -5,7 +5,8 @@ own gossip weights, own update loops) and compared to the library run; the
 library's CSV text is then compared byte-for-byte against the committed
 files under tests/golden/.  The two softmax fixtures are compared by bytes
 only; their comparator gap is written with repr, so they pin the softmax
-kernel to the last bit.
+kernel to the last bit.  The sixth fixture is built from a config through
+runner.run_single and compared by bytes only: it pins the default tuning.
 """
 
 import os
@@ -25,6 +26,7 @@ from _fixtures import (
     DOFW_ETA_REG,
     DOFW_THETAS,
     golden_de2mfw,
+    golden_de2mfw_config,
     golden_delmfw,
     golden_dofw,
     golden_softmax_central,
@@ -263,4 +265,14 @@ def test_softmax_golden_bytes(name, build):
     """C = 3 on a network with diagnostics, and C = 9, where numpy sums the classes pairwise."""
     trace = build()[0]
     committed = open(os.path.join(GOLDEN_DIR, name)).read()
+    assert trace.csv_text() == committed
+
+
+# -- fixture 6: a config-built De2MFW run, bytes only ---------------------------------
+
+
+def test_de2mfw_config_golden_bytes():
+    """The default K, zeta and network A, as `delayfw run` resolves them."""
+    trace = golden_de2mfw_config()[0]
+    committed = open(os.path.join(GOLDEN_DIR, "de2mfw_config.csv")).read()
     assert trace.csv_text() == committed

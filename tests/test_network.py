@@ -1,18 +1,15 @@
-"""Topology and gossip-matrix tests with hand-computed spectral fixtures."""
-
-import math
-import warnings
+"""Topology and gossip-matrix tests with hand-computed spectral fixtures, and
+the closed-form network step constant A."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayfw import network
+from delayfw.de2mfw import algorithm_constants
 from delayfw.network import (
-    A_CAP,
     ER_MAX_ATTEMPTS,
-    GossipMatrix,
     Topology,
-    algorithm_constants,
     grid_shape,
     k0_of,
     lambda2,
@@ -183,70 +180,21 @@ def test_topology_validation():
         topology("erdos_renyi", 5, p=0.0)
 
 
-# -- algorithm constants -----------------------------------------------------
+# -- the network step constant A ------------------------------------------------
+
+POSITIVE = st.floats(min_value=1e-100, max_value=1e100)
 
 
-def trivial_gossip():
-    return GossipMatrix(np.array([[1.0]]), 0.0, 1)
-
-
-def test_constants_cd_values():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert algorithm_constants(trivial_gossip(), 1, 2.0, 1.0, 1.0).c_d == pytest.approx(2.0)
-        g = metropolis_weights(path3())
-        assert algorithm_constants(g, 3, 2.0, 1.0, 1.0).c_d == pytest.approx(
-            5 * math.sqrt(3) * 2, abs=1e-9
-        )
-
-
-def path3_iterates(monkeypatch, steps):
-    """The fixed-point iterates A_1..A_steps on the 3-path with G = beta = D = 1.
-
-    Iteration i is read as the A that algorithm_constants returns when it
-    may take only i iterations; none of these reaches A_CAP.
-    """
-    g = metropolis_weights(path3())
-    out = []
-    for i in range(1, steps + 1):
-        monkeypatch.setattr(network, "_FP_MAX_ITERS", i)
-        with pytest.warns(RuntimeWarning):
-            res = algorithm_constants(g, 3, 1.0, 1.0, 1.0)
-        assert (res.iterations, res.converged) == (i, False)
-        out.append(res.a_dist)
-    return np.array(out)
-
-
-def test_constants_fixed_point_hand_recurrence(monkeypatch):
-    # G = beta = D = 1 on the 3-path (lambda=2/3, k0=5, rho=1/3):
-    #   C_d = 5*sqrt(3); Cg(a) = sqrt(3)*max(8/3, 5*(20*sqrt(3) + a))
-    #   next(a) = max(3, 2*C_d + Cg(a))
-    g = metropolis_weights(path3())
-    with pytest.warns(RuntimeWarning):
-        res = algorithm_constants(g, 3, 1.0, 1.0, 1.0)
-    c_d = 5 * math.sqrt(3)
-    assert res.c_d == pytest.approx(c_d, abs=1e-9)
-    assert not res.converged
-    assert res.a_dist == A_CAP
-
-    def cg(a):
-        return math.sqrt(3) * max((2 / 3) * (1 + 3.0), 5 * (4 * c_d + a))
-
-    iterates = path3_iterates(monkeypatch, 3)
-    a = 3.0
-    for step in range(1, 4):
-        a = max(3.0, 2 * c_d + cg(a))
-        assert iterates[step - 1] == pytest.approx(a, rel=1e-12)
-    assert iterates[0] == pytest.approx(300 + 25 * math.sqrt(3), rel=1e-12)
-
-
-def test_constants_divergence_is_geometric_when_k0_branch_active(monkeypatch):
-    # slope of the recurrence is k0*sqrt(n) >= 1, so no interior fixed point
-    iterates = path3_iterates(monkeypatch, 7)
-    ratios = np.diff(iterates[1:7]) / np.diff(iterates[0:6])
-    np.testing.assert_allclose(ratios, 5 * math.sqrt(3), rtol=1e-9)
+@settings(max_examples=200, deadline=None)
+@given(G=POSITIVE, beta=POSITIVE, D=POSITIVE)
+def test_constants_are_the_closed_form(G, beta, D):
+    a = algorithm_constants(G, beta, D)
+    assert type(a) is float
+    assert a.hex() == max(3.0, 3.0 * G / (2.0 * beta * D)).hex()
+    assert a >= 3.0
 
 
 def test_constants_validation():
-    with pytest.raises(ValueError):
-        algorithm_constants(trivial_gossip(), 1, 0.0, 1.0, 1.0)
+    for args in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            algorithm_constants(*args)

@@ -9,12 +9,14 @@ import os
 import re
 import runpy
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from _fixtures import read_trace_csv, write_schedule_csv
 from delayfw import cli, runner
+from delayfw.de2mfw import algorithm_constants
 from delayfw.delay import DelaySchedule
 
 
@@ -324,6 +326,24 @@ def test_shipped_config_comparator_converges(name):
     assert trace.metadata["comparator_converged"] is True
     assert trace.metadata["comparator_iterations"] < 5000
     assert "#comparator_converged=True\n" in trace.csv_text()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_shipped_configs_run_without_warnings(path):
+    cfg = runner.parse_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runner.run_single(cfg, cfg.seeds[0])
+
+
+@pytest.mark.parametrize("constants", [{}, {"G": 5.0, "beta": 1.0, "D": 0.5}])
+def test_distributed_trace_records_the_network_a(tmp_path, constants):
+    res = runner.run_experiment(parse(minimal_distributed(constants=constants)), str(tmp_path))
+    meta, _ = read_trace_csv(res["traces"][0])
+    a = algorithm_constants(float(meta["G"]), float(meta["beta"]), float(meta["D"]))
+    assert meta["A"] == repr(float(a))
+    if constants:
+        assert meta["A"] == "15.0"  # 3G/(2 beta D)
 
 
 def test_reruns_byte_identical(tmp_path):
