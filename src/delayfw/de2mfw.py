@@ -44,8 +44,8 @@ the previous round's bit for bit, for every agent, and runs the recursion
 only from the first step that differs.  The reuse is exact: step k reads
 only the start vertex, x_{t,k} and v_{t,k}, and identical inputs through
 identical numpy operations give identical bits.  A one-agent round that
-releases nothing leaves the bank untouched, so the next round is a quiet
-round: it makes no query and copies the previous round's sub-iterates whole.
+releases nothing leaves the bank untouched, so the rounds up to the next
+release (or T) repeat it whole: one quiet stretch, one ring copy, no query.
 
 A run keeps its latest round's arrays (x, v, y, S, d) until the next round
 replaces them.  The round loop's one optional observe(t) callback reads
@@ -138,11 +138,8 @@ class NetworkRun:
     (K, n, m) arrays or views, never copies, valid until the next round:
     vs and ys (oracle outputs v, mixed iterates y) from predict_round, sums
     (S) and ds (d) from absorb_round.  With one agent an empty release set
-    leaves the bank untouched, as there is nothing to exchange, and the next
-    predict_round reuses the previous round whole: no query, no comparison,
-    and vs stays the previous round's.  That rule keys only on what
-    absorb_round did, so a bank written between rounds by hand is still
-    queried.
+    leaves the bank untouched, as there is nothing to exchange, so the
+    rounds after it repeat it whole until one releases (repeat_rounds).
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
@@ -162,7 +159,6 @@ class NetworkRun:
         self._keep = (1.0 - self._etas).tolist()  # 1 - eta_k
         self._mixed = np.empty((K, n, cset.dim))  # the ys of every round when n > 1
         self._predicted = 0
-        self._quiet = False  # the last absorb_round left the bank untouched
         self.vs = self.ys = self.sums = self.ds = None
 
     def predict_round(self, t: int) -> np.ndarray:
@@ -172,28 +168,20 @@ class NetworkRun:
         every agent are not rerun: step k reads only x_{t,k} and v_{t,k}, so
         x_{t,2..j+1} are copied from round t-1's ring slot and ys[:j] kept.
         Bit patterns, not ==, are compared: -0.0 and +0.0 print differently.
-        After a quiet round (the last absorb_round fed nothing) the bank
-        would answer as before, so the round copies round t-1's slot whole
-        without a query; vs stays round t-1's.
         Callers must not write the previous round's vs or ring slot.
         """
         if t != self._predicted + 1:
             raise ValueError(f"predict_round({t}) out of order; next round is {self._predicted + 1}")
         self._predicted = t
-        quiet, self._quiet = self._quiet, False
         K, n, m = self.params.K, self.n, self.cset.dim
         subs = self.ring[t % self.window]  # x^i_{t,k}, written in place step by step
-        if quiet:
-            subs[:] = self.ring[(t - 1) % self.window]  # same slot at window 1
-            self.ys = subs[:K]  # quiet rounds have n = 1: y = x
-            return subs[K].copy()
         vs = self.bank.query().reshape(n, K, m)
         subs[0] = self._start
         ys = self._mixed if n > 1 else subs[:K]  # W = [1] mixes exactly: y = x
         j = 0  # steps 1..j repeat round t-1 exactly
         if self.vs is not None:
-            same = vs.view(np.uint64) == self.vs.swapaxes(0, 1).view(np.uint64)
-            j = int(np.logical_and.accumulate(same.all(axis=(0, 2))).sum())
+            same = (vs.view(np.uint64) == self.vs.swapaxes(0, 1).view(np.uint64)).all(axis=(0, 2))
+            j = int(same.argmin()) or K * bool(same[0])  # argmin is 0 also when none differs
             subs[1:j + 1] = self.ring[(t - 1) % self.window, 1:j + 1]  # same slot at window 1
         if j < K:
             steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
@@ -203,6 +191,21 @@ class NetworkRun:
             np.add(self._keep[k] * ys[k], steps[k], out=subs[k + 1])
         self.vs, self.ys = vs.swapaxes(0, 1), ys
         return subs[K].copy()
+
+    def repeat_rounds(self, u: int) -> np.ndarray:
+        """Copy the last predicted round into the rounds after it through u.
+
+        Valid with one agent while nothing feeds the bank.  ys points into
+        round u's slot, vs stays; returns a view of the (n, m) decisions.
+        """
+        t, w = self._predicted, self.window
+        if self.n != 1 or not t < u <= self.params.T:
+            raise ValueError(f"cannot repeat round {t} through round {u} with {self.n} agents")
+        a, b = (t + 1) % w, (t + 1) % w + min(u - t, w - 1)  # slots a..b-1, wrapping past w
+        self.ring[a:b] = self.ring[:max(0, b - w)] = self.ring[t % w]
+        self._predicted = u
+        self.ys = self.ring[u % w, :-1]
+        return self.ring[t % w, -1]
 
     def absorb_round(self, t: int, rows, losses) -> None:
         """Gradient-tracking exchanges and oracle feedback for round t.
@@ -219,10 +222,15 @@ class NetworkRun:
         sums = np.zeros((K, n, m))
         if len(rows):
             lo, hi = max(1, self._predicted - self.window + 1), min(t, self._predicted)
-            if origins.min() < lo or origins.max() > hi:  # not in the ring, or in the future
+            first, last = (origins[0], origins[-1]) if n == 1 else (origins.min(), origins.max())
+            if first < lo or last > hi:  # not in the ring, or in the future
                 raise ValueError(f"round {t} releases origins outside {lo}..{hi}")
             g = losses.grad(self.ring[origins % self.window, :K, agents])  # (r, K, m)
-            np.add.at(sums.swapaxes(0, 1), agents, g)  # each agent's terms in origin order
+            if n > 1:  # each agent's terms in origin order
+                np.add.at(sums.swapaxes(0, 1), agents, g)
+            else:  # the same adds, row by row into the zero seed
+                for row in g[:, :, None]:
+                    sums += row
         if n == 1:
             ds = sums.swapaxes(0, 1)  # W = [1]: d = S exactly, no tracking correction
         else:
@@ -232,8 +240,7 @@ class NetworkRun:
                 ds[:, k] = self.gossip.mix(G)
                 if k + 1 < K:
                     G = sums[k + 1] + (ds[:, k] - sums[k])
-        self._quiet = n == 1 and not len(rows)
-        if not self._quiet:
+        if n > 1 or len(rows):
             self.bank.feedback(ds.reshape(n * K, m))
         self.sums, self.ds = sums, ds.swapaxes(0, 1)
 
@@ -241,10 +248,10 @@ class NetworkRun:
 def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> np.ndarray:
     """Drive the run through its T rounds; returns the (T, n, m) decisions.
 
-    Each round predicts and absorbs the losses that mature this round,
-    read from the schedules' release table.  observe(t), when given, is
-    called after round t's absorb_round, while the run's round arrays
-    still hold round t.
+    Each round predicts and absorbs the losses that mature this round, read
+    from the schedules' release table.  With one agent, the rounds after an
+    empty release up to the next release (or T) are one quiet stretch.
+    observe(t), when given, is called after round t's absorb_round.
     """
     T, n = run.params.T, run.n
     if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
@@ -252,14 +259,22 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
     table = FeedbackBuffer()
     table.push([s.d for s in schedules])
     decisions = np.empty((T, n, run.cset.dim))
-    for t in range(1, T + 1):
-        decisions[t - 1] = run.predict_round(t)
+    t, quiet = 1, False
+    while t <= T:
+        if quiet:  # rounds t..u repeat round t-1; an observer sees them one by one
+            u = table.next_release[t - 1] if observe is None else t
+            decisions[t - 1:u] = run.repeat_rounds(u)
+            t = u
+        else:
+            decisions[t - 1] = run.predict_round(t)
         rows = table.release(t)
         # an empty stack is no loss (SoftmaxLoss rejects it)
         losses = stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
         run.absorb_round(t, rows, losses)
         if observe is not None:
             observe(t)
+        quiet = n == 1 and not len(rows)
+        t += 1
     return decisions
 
 

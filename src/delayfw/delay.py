@@ -98,6 +98,8 @@ class FeedbackBuffer:
         self._rows = np.stack(np.divmod(order[:ends[-1]], T), axis=1) + [0, 1]
         self._rows.flags.writeable = False
         self._ends = ends.tolist()
+        # next_release[t - 1]: the first round u >= t that releases anything, T if none
+        self.next_release = np.append(due[order[:ends[-1]]], T)[ends[:-1]].tolist()
 
     def release(self, t: int) -> np.ndarray:
         """F_t as (agent, origin) rows, sorted by agent and then origin; (0, 2) when empty."""

@@ -81,17 +81,15 @@ class ConstraintSet:
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {z.shape}")
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("non-finite entries in LMO input")
         n = z.shape[0]
         r = self.radius
         rows = np.arange(n)
-        out = np.zeros_like(z)
+        out = np.zeros(z.shape)
         if self.kind == "l1_ball":
-            idx = np.argmax(np.abs(z), axis=1)
-            s = np.sign(z[rows, idx])
-            s[s == 0.0] = -1.0  # zero input selects the +r e_0 vertex
-            out[rows, idx] = -r * s
+            idx = np.abs(z).argmax(axis=1)
+            out[rows, idx] = np.where(z[rows, idx] > 0.0, -r, r)  # a zero row selects +r e_0
         elif self.kind == "simplex":
             idx = np.argmin(z, axis=1)
             out[rows, idx] = r

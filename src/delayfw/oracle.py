@@ -62,6 +62,6 @@ class FtplOracle:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.accum.shape:
             raise ValueError(f"feedback has shape {g.shape}, expected {self.accum.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("non-finite entries in feedback")
         self.accum = self.accum + g

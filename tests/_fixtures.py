@@ -8,8 +8,11 @@ Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``round_recorder``, an observer that copies every round of an engine run,
 ``bits``, the bit patterns that bitwise comparisons of float arrays read,
 ``feedback_spy``, which records the feedback calls oracle banks absorb,
-and ``read_trace_csv``, which parses a written trace back into arrays.
+``read_trace_csv``, which parses a written trace back into arrays, and
+``bench_workload_digest``, the trace digest of a benchmark workload.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -170,6 +173,48 @@ def golden_de2mfw_config():
     """De2MFW through runner.run_single, as `delayfw run` builds it: cycle n = 3, T = 8."""
     cfg = runner.config_from_dict(DE2MFW_CONFIG)
     return runner.run_single(cfg, 0), cfg
+
+
+# The benchmark's workloads, seed 0: copies of the bodies in perfbench/workloads.py.
+# Their trace digests (golden/bench_workloads.sha256) catch a moved benchmark
+# trace, which the benchmark's own stale baseline no longer does.
+BENCH_WORKLOADS = {
+    "central_quad": {
+        "mode": "centralized",
+        "T": 2048,
+        "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+        "loss": {"kind": "quadratic", "seed": 0},
+        "delay": {"dmax": 1024, "seed": 0},
+        "zeta_mode": "true_B",
+        "seeds": [0],
+    },
+    "net_quad_n64": {
+        "mode": "distributed",
+        "T": 100,
+        "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+        "loss": {"kind": "quadratic", "seed": 0},
+        "topology": {"kind": "cycle", "n": 64},
+        "delay": {"dmax": 1, "seed": 0},
+        "seeds": [0],
+    },
+    "net_softmax": {
+        "mode": "distributed",
+        "T": 100,
+        "set": {"kind": "l1_ball", "radius": 8.0, "p": 10, "C": 3},
+        "loss": {"kind": "softmax_xent", "batch": 5, "seed": 0},
+        "topology": {"kind": "grid", "n": 9},
+        "delay": {"dmax": 20, "seed": 0, "delayed_agent_count": 4},
+        "zeta_mode": "dmax_bound",
+        "diagnostics": True,
+        "seeds": [0],
+    },
+}
+
+
+def bench_workload_digest(name):
+    """sha256 of the trace CSV of a benchmark workload's seed-0 run through runner.run_single."""
+    trace = runner.run_single(runner.config_from_dict(BENCH_WORKLOADS[name]), 0)
+    return hashlib.sha256(trace.csv_text().encode()).hexdigest()
 
 
 def read_trace_csv(path):

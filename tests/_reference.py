@@ -9,7 +9,9 @@ ftpl_query_expected averages an FTPL prediction over fresh noise draws,
 for the tests of the oracle's expected behaviour.  comparator_four_calls
 is the comparator loop that evaluates the summed loss's value and its
 gradient in separate calls, four per iteration at two distinct points;
-the fused comparator must match it bit for bit.
+the fused comparator must match it bit for bit.  l1_lmo_by_sign picks the
+l1-ball vertex by sign, zero mask and multiply; the batched LMO's one
+np.where must match it bit for bit.
 """
 
 import math
@@ -79,6 +81,20 @@ def gossip_fw_round(start, vs, w, etas):
         subs.append(x)
         ys.append(y)
     return np.array(subs), np.array(ys)
+
+
+def l1_lmo_by_sign(z, radius):
+    """Row-wise argmin over the l1 ball of the given radius: -radius*sign at the largest |z|.
+
+    A zero entry (of either sign) counts as negative, so a zero row selects +radius*e_0.
+    """
+    rows = np.arange(len(z))
+    idx = np.argmax(np.abs(z), axis=1)
+    s = np.sign(z[rows, idx])
+    s[s == 0.0] = -1.0
+    out = np.zeros_like(z)
+    out[rows, idx] = -radius * s
+    return out
 
 
 def softmax_logits(loss, x):

@@ -12,6 +12,8 @@ import sys
 sys.path.insert(0, os.path.dirname(__file__))
 
 from _fixtures import (  # noqa: E402
+    BENCH_WORKLOADS,
+    bench_workload_digest,
     golden_de2mfw,
     golden_de2mfw_config,
     golden_delmfw,
@@ -34,6 +36,10 @@ def main():
         path = os.path.join(out_dir, name)
         trace.write_csv(path)
         print(f"wrote {path}")
+    path = os.path.join(out_dir, "bench_workloads.sha256")
+    with open(path, "w") as fh:
+        fh.writelines(f"{bench_workload_digest(name)}  {name}\n" for name in sorted(BENCH_WORKLOADS))
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _fixtures import bits, feedback_spy, round_recorder
 from _reference import gossip_fw_round, meta_fw_run
 from delayfw import runner
 from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
                             distributed_params, run_rounds)
-from delayfw.delay import DelaySchedule, gen_delays
+from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream
 from delayfw.network import GossipMatrix, metropolis_weights, topology
@@ -398,6 +399,112 @@ def test_quiet_rounds_copy_the_previous_round_without_a_query():
     assert np.array_equal(bits(decisions[:, 0]), bits(want))
 
 
+def late(T, s):
+    """A delay that puts round s's feedback after round T."""
+    return T - s + 2
+
+
+@st.composite
+def one_agent_schedules(draw):
+    """(T, K, window, delays): random or blocked releases, some of them due after T.
+
+    The window is 1, dmax or dmax + 1; every delay whose feedback comes by T
+    is at most the window, so its origin is still in the ring.
+    """
+    T, K = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    dmax = draw(st.integers(1, T))
+    window = draw(st.sampled_from([1, dmax, dmax + 1]))
+    reach = min(dmax, window)
+    if draw(st.booleans()):
+        delays = draw(st.lists(st.integers(1, reach), min_size=T, max_size=T))
+    else:  # every round of a block of b rounds reports at the block's end
+        b = draw(st.integers(1, reach))
+        delays = [b * math.ceil(s / b) - s + 1 for s in range(1, T + 1)]
+    for s in draw(st.sets(st.integers(1, T))):  # never released
+        delays[s - 1] = late(T, s)
+    return T, K, window, delays
+
+
+def drive_round_by_round(run, stream, schedule):
+    """predict_round/absorb_round for every round, with no quiet stretch."""
+    table = FeedbackBuffer()
+    table.push([schedule.d])
+    decisions = np.empty((run.params.T, 1, run.cset.dim))
+    for t in range(1, run.params.T + 1):
+        decisions[t - 1] = run.predict_round(t)
+        rows = table.release(t)
+        run.absorb_round(t, rows, stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None)
+    return decisions
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=one_agent_schedules())
+# round 2 releases, rounds 3-15 report after T: rounds 4-16 are one stretch, longer than the ring
+@example(case=(20, 3, 2, [2, 1] + [late(20, s) for s in range(3, 16)] + [1] * 5))
+# the last release is at round 5: the stretch after round 6 runs to T
+@example(case=(10, 2, 3, [1, 1, 3] + [late(10, s) for s in range(4, 11)]))
+# nothing is ever released: one query, then rounds 2..T are one stretch
+@example(case=(6, 4, 1, [late(6, s) for s in range(1, 7)]))
+def test_quiet_stretches_equal_a_round_by_round_drive(case):
+    T, K, window, delays = case
+    schedule = DelaySchedule(delays, dmax=max(delays))
+    stream = synth_quadratic_stream(seed=T, T=T, dim=3, scale=0.7)
+    params = params_for(K=K, T=T)
+    one = metropolis_weights(topology("complete", 1))
+    runs = [NetworkRun(L1, one, params, seed=5, window=window) for _ in range(3)]
+    want = drive_round_by_round(runs[0], stream, schedule)
+    seen = []
+
+    def observe(t):  # an observer gets every round, ys in that round's own slot
+        seen.append(t)
+        assert np.shares_memory(runs[2].ys, runs[2].ring[t % window])
+
+    written = sorted({t % window for t in range(1, T + 1)})  # ring slots of rounds 1..T
+    for run, watch in zip(runs[1:], (None, observe)):
+        decisions = run_rounds(run, stream, [schedule], watch)
+        assert np.array_equal(bits(decisions), bits(want))
+        assert np.array_equal(bits(run.ring[written]), bits(runs[0].ring[written]))
+    assert seen == list(range(1, T + 1))
+    ref, _ = meta_fw_run(L1, stream, params, 5, schedule)
+    assert np.array_equal(bits(want[:, 0]), bits(ref))
+
+
+class FixedGradients:
+    """A loss stack whose grad returns the same (r, K, m) gradients at any points."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def grad(self, x):
+        assert x.shape == self.g.shape
+        return self.g
+
+
+@st.composite
+def gradient_stacks(draw):
+    """(r, K, m) gradients with signed zeros among finite entries."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    return draw(arrays(np.float64, shape, elements=entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=gradient_stacks())
+@example(g=np.array([-0.0, -0.0, 1.5, -1.5, -0.0, 0.0, 2.0**-30, -0.0, 3.0]).reshape(9, 1, 1))
+@example(g=np.full((8, 1, 1), -0.0))
+def test_one_agent_release_sums_equal_the_scatter(g):
+    # row by row into a zero seed, as np.add.at adds: a leading -0.0 sums to +0.0
+    r, K, m = g.shape
+    run = NetworkRun(ConstraintSet("l1_ball", 1.0, m), metropolis_weights(topology("complete", 1)),
+                     params_for(K=K, T=1), seed=0, window=1)
+    run.predict_round(1)
+    run.absorb_round(1, np.tile([0, 1], (r, 1)), FixedGradients(g))
+    want = np.zeros((1, K, m))
+    np.add.at(want, np.zeros(r, dtype=np.int64), g)
+    assert np.array_equal(bits(run.sums.swapaxes(0, 1)), bits(want))
+    assert np.array_equal(bits(run.bank.accum), bits(want[0]))
+
+
 # -- bookkeeping --------------------------------------------------------------------
 
 
@@ -436,6 +543,19 @@ def test_absorb_unknown_origin():
         run.absorb_round(1, np.array([[0, 0]]), loss)  # there is no round 0
     with pytest.raises(ValueError):
         run.absorb_round(2, np.array([[0, 2]]), loss)  # round 2 is not predicted yet
+
+
+def test_one_agent_absorb_rejects_origins_outside_the_ring():
+    # one agent's rows are sorted by origin, so their ends bound them
+    run = NetworkRun(L1, metropolis_weights(topology("complete", 1)), params_for(K=2, T=6), seed=0,
+                     window=2)
+    loss = QuadraticLoss(np.zeros((3, 1, 3)))
+    for t in (1, 2, 3):
+        run.predict_round(t)
+    for origins in ([1, 2, 3], [2, 3, 4], [1], [4]):  # round 1 is overwritten, round 4 is to come
+        with pytest.raises(ValueError):
+            run.absorb_round(3, np.array([[0, s] for s in origins]), loss[:len(origins)])
+    run.absorb_round(3, np.array([[0, 2], [0, 3]]), loss[:2])
 
 
 def test_run_deterministic_and_validated():

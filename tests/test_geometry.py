@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _reference import l1_lmo_by_sign
 from delayfw.geometry import ConstraintSet
 
 RNG = np.random.default_rng(20260826)
@@ -203,3 +207,21 @@ def test_constructor_validation():
         ConstraintSet("l1_ball", 0.0, 2)
     with pytest.raises(ValueError):
         ConstraintSet("l1_ball", 1.0, 0)
+
+
+# signed zeros, and magnitudes that tie within a row
+TIED_OR_ZERO = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                elements=st.one_of(TIED_OR_ZERO, st.floats(-10.0, 10.0))),
+       radius=st.sampled_from([0.5, 1.0, 3.0]))
+@example(z=np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-1.0, 1.0, 0.5],
+                     [1.0, -1.0, -0.0], [-0.0, 0.0, -2.0], [2.0, -2.0, 2.0]]), radius=1.0)
+def test_l1_lmo_batch_matches_the_sign_formula(z, radius):
+    cs = ConstraintSet("l1_ball", radius, z.shape[1])
+    got = cs.lmo_batch(z)
+    assert got.tobytes() == l1_lmo_by_sign(z, radius).tobytes()
+    zero = ~z.any(axis=1)  # rows of +0.0 and -0.0 only
+    assert got[zero].tobytes() == np.tile(np.eye(z.shape[1])[0] * radius, (zero.sum(), 1)).tobytes()

@@ -7,6 +7,9 @@ files under tests/golden/.  The two softmax fixtures are compared by bytes
 only; their comparator gap is written with repr, so they pin the softmax
 kernel to the last bit.  The sixth fixture is built from a config through
 runner.run_single and compared by bytes only: it pins the default tuning.
+The benchmark's three workloads, run for seed 0, are pinned by the sha256
+of their trace CSVs (bench_workloads.sha256), so a moved benchmark trace
+fails here and not only in a benchmark run.
 """
 
 import os
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from _fixtures import (
+    BENCH_WORKLOADS,
     CSET,
     DE2MFW_DELAYS,
     DE2MFW_PARAMS,
@@ -25,6 +29,7 @@ from _fixtures import (
     DOFW_DELAYS,
     DOFW_ETA_REG,
     DOFW_THETAS,
+    bench_workload_digest,
     golden_de2mfw,
     golden_de2mfw_config,
     golden_delmfw,
@@ -276,3 +281,16 @@ def test_de2mfw_config_golden_bytes():
     trace = golden_de2mfw_config()[0]
     committed = open(os.path.join(GOLDEN_DIR, "de2mfw_config.csv")).read()
     assert trace.csv_text() == committed
+
+
+# -- fixture 7: the benchmark's workloads, seed 0, by digest -------------------------
+
+
+def bench_digests():
+    with open(os.path.join(GOLDEN_DIR, "bench_workloads.sha256")) as fh:
+        return {name: digest for digest, name in (line.split() for line in fh)}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_bench_workload_trace_digests(name):
+    assert bench_workload_digest(name) == bench_digests()[name]
