@@ -33,10 +33,14 @@ All agents advance in lockstep; the single-threaded execution order here
 is the reference semantics for any parallel driver.
 
 The n*K oracles sit in one bank, row i*K + k - 1 for oracle k of agent i,
-and answer a round's queries with one batched LMO call: the oracles never
-see the iterates.  The round's released (agent, origin) pairs come from a
-release table computed once from the schedules, and one gathered gradient
-call covers every released loss at all K sub-iterates.
+whose noise rows seeding.oracle_noise draws in one array pass, and answer a
+round's queries with one batched LMO call: the oracles never see the
+iterates.  The round's released (agent, origin) pairs come from a release
+table computed once from the schedules, and one gathered gradient call
+covers every released loss at all K sub-iterates.  Each agent's gradients
+are added into its sums in origin order, one vectorized add per rank (the
+j-th released row of every agent that has one), and the tracking
+recursion writes each step's d into one step-major buffer.
 
 With zeta = 1/(G sqrt B) the oracle outputs often repeat from round to
 round, so a round reuses the longest prefix of steps whose outputs equal
@@ -45,7 +49,8 @@ only from the first step that differs.  The reuse is exact: step k reads
 only the start vertex, x_{t,k} and v_{t,k}, and identical inputs through
 identical numpy operations give identical bits.  A one-agent round that
 releases nothing leaves the bank untouched, so the rounds up to the next
-release (or T) repeat it whole: one quiet stretch, one ring copy, no query.
+release (or T) repeat it whole: one quiet stretch, one ring copy, no query,
+and no absorb unless an observer reads the round's zero sums.
 
 A run keeps its latest round's arrays (x, v, y, S, d) until the next round
 replaces them.  The round loop's one optional observe(t) callback reads
@@ -137,9 +142,9 @@ class NetworkRun:
     agent's largest delay.  The latest round's other arrays are step-major
     (K, n, m) arrays or views, never copies, valid until the next round:
     vs and ys (oracle outputs v, mixed iterates y) from predict_round, sums
-    (S) and ds (d) from absorb_round.  With one agent an empty release set
-    leaves the bank untouched, as there is nothing to exchange, so the
-    rounds after it repeat it whole until one releases (repeat_rounds).
+    (S) and ds (d) from the latest absorb_round.  With one agent an empty
+    release set leaves the bank untouched, as there is nothing to exchange,
+    so the rounds after it repeat it whole until one releases (repeat_rounds).
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
@@ -149,9 +154,7 @@ class NetworkRun:
         self.params = params
         self.n = n = gossip.n
         K = params.K
-        self.bank = FtplOracle(cset, params.zeta, [
-            seeding.oracle_rng(seed, i, k) for i in range(n) for k in range(1, K + 1)
-        ])
+        self.bank = FtplOracle(cset, params.zeta, seeding.oracle_noise(seed, n, K, cset.dim))
         self.window = window
         self.ring = np.empty((window, K + 1, n, cset.dim))  # slot s % window: x^i_{s,k}
         self._start = np.tile(cset.lmo(np.zeros(cset.dim)), (n, 1))
@@ -227,22 +230,27 @@ class NetworkRun:
                 raise ValueError(f"round {t} releases origins outside {lo}..{hi}")
             g = losses.grad(self.ring[origins % self.window, :K, agents])  # (r, K, m)
             if n > 1:  # each agent's terms in origin order
-                np.add.at(sums.swapaxes(0, 1), agents, g)
+                starts = agents.searchsorted(np.arange(n))  # each agent's first row
+                counts = agents.searchsorted(np.arange(n), "right") - starts
+                for j in range(counts.max()):  # every agent's j-th row at once: distinct agents
+                    who = (counts > j).nonzero()[0]
+                    sums[:, who] += g[starts[who] + j].swapaxes(0, 1)
             else:  # the same adds, row by row into the zero seed
                 for row in g[:, :, None]:
                     sums += row
         if n == 1:
-            ds = sums.swapaxes(0, 1)  # W = [1]: d = S exactly, no tracking correction
+            ds = sums  # W = [1]: d = S exactly, no tracking correction
         else:
-            ds = np.empty((n, K, m))
-            G = sums[0]
-            for k in range(K):
-                ds[:, k] = self.gossip.mix(G)
-                if k + 1 < K:
-                    G = sums[k + 1] + (ds[:, k] - sums[k])
+            ds = np.empty((K, n, m))  # ds[k] holds d_{k+1}
+            self.gossip.mix(sums[0], out=ds[0])
+            G = np.empty((n, m))
+            for k in range(1, K):  # G = S_{k+1} + (d_k - S_k), built in place
+                np.subtract(ds[k - 1], sums[k - 1], out=G)
+                G += sums[k]
+                self.gossip.mix(G, out=ds[k])
         if n > 1 or len(rows):
-            self.bank.feedback(ds.reshape(n * K, m))
-        self.sums, self.ds = sums, ds.swapaxes(0, 1)
+            self.bank.feedback(ds.swapaxes(0, 1).reshape(n * K, m))
+        self.sums, self.ds = sums, ds
 
 
 def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> np.ndarray:
@@ -250,8 +258,9 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
 
     Each round predicts and absorbs the losses that mature this round, read
     from the schedules' release table.  With one agent, the rounds after an
-    empty release up to the next release (or T) are one quiet stretch.
-    observe(t), when given, is called after round t's absorb_round.
+    empty release up to the next release (or T) are one quiet stretch, and
+    the empty release itself absorbs nothing.  observe(t), when given, is
+    called after round t's absorb_round, which then runs in every round.
     """
     T, n = run.params.T, run.n
     if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
@@ -268,12 +277,13 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
         else:
             decisions[t - 1] = run.predict_round(t)
         rows = table.release(t)
-        # an empty stack is no loss (SoftmaxLoss rejects it)
-        losses = stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
-        run.absorb_round(t, rows, losses)
-        if observe is not None:
-            observe(t)
         quiet = n == 1 and not len(rows)
+        if not quiet or observe is not None:  # a quiet absorb only zeroes sums and ds
+            # an empty stack is no loss (SoftmaxLoss rejects it)
+            losses = stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
+            run.absorb_round(t, rows, losses)
+            if observe is not None:
+                observe(t)
         t += 1
     return decisions
 

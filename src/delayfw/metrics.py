@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConstraintSet
-from .losses import LossStream
+from .losses import LossStream, _class_sum
 
 
-_BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses call
+_BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses block
 
 
 @dataclass
@@ -168,18 +168,35 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
 def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.ndarray:
     """(T, n) matrix of F_t(x^i_t) for distributed decisions (T, n, m).
 
-    One stacked value call per block of rounds, at all n decisions of each
-    round against that round's n losses.  A round broadcasts n*n losses'
-    data (theta, or softmax features); a block holds as many rounds as keep
-    that near _BLOCK_FLOATS floats, and at least one.  The agents are added
-    in order, as LossStream.average_value adds them, so every entry equals
-    its average_value call bit for bit.
+    Each block of rounds evaluates all n decisions of each round against
+    that round's n losses.  A round broadcasts n*n losses' data (theta, or
+    softmax features); a block holds as many rounds as keep that near
+    _BLOCK_FLOATS floats, and at least one.  Quadratic losses are evaluated
+    coordinate-major: theta and the decisions are transposed once to
+    (m, n, T), a block's squared differences are an (m, agent, point,
+    round) array, and _class_sum adds its m rows in the order of value's
+    sum over the trailing axis, so every numpy loop runs along agents and
+    rounds instead of the short m axis.  Softmax losses make one stacked
+    value call per block.  The agents are added in order, as
+    LossStream.average_value adds them, so every entry equals its
+    average_value call bit for bit.
     """
     T, n = decisions.shape[0], decisions.shape[1]
     losses = stream.losses
     data = losses.theta if stream.kind == "quadratic" else losses.features
     rounds = max(1, _BLOCK_FLOATS // (n * data[:, 0].size))  # n points against n losses
     out = np.empty((T, n))
+    if stream.kind == "quadratic":
+        points = np.ascontiguousarray(decisions.transpose(2, 1, 0))  # (m, n, T)
+        theta = np.ascontiguousarray(losses.theta.transpose(2, 0, 1))
+        for lo in range(0, T, rounds):
+            hi = min(lo + rounds, T)
+            sq = points[:, None, :, lo:hi] - theta[:, :, None, lo:hi]  # (m, agent, point, round)
+            np.square(sq, out=sq)
+            vals = 0.5 * _class_sum(sq)
+            # a leading-axis reduce adds whole rows, so the agents in order
+            out[lo:hi] = (np.add.reduce(vals, axis=0) / stream.n_agents).T
+        return out
     for lo in range(0, T, rounds):
         hi = min(lo + rounds, T)
         # points (n, 1, rounds, m) against losses (n, rounds): values (point, agent, round)

@@ -6,9 +6,11 @@ LMO on its perturbed accumulated feedback::
 
     v_r = argmin_v  zeta * <sum of feedback to row r, v> + <noise_r, v>
 
-with ``noise_r`` drawn once from Uniform[0,1]^m at construction.  A
-prediction depends on history only through that sum, so the N queries of a
-bank are one batched LMO call.  A single oracle is a bank with N = 1.
+with ``noise_r`` a fixed Uniform[0,1]^m draw that the caller supplies as
+row r of an (N, m) array (the distributed engine draws a whole bank's rows
+with ``seeding.oracle_noise``).  A prediction depends on history only
+through that sum, so the N queries of a bank are one batched LMO call.  A
+single oracle is a bank with N = 1.
 Fixing the perturbation keeps every run deterministic; the tests check
 claims about the *expected* prediction over the noise distribution by
 Monte-Carlo averages of the same LMO.
@@ -34,24 +36,23 @@ class FtplOracle:
     Args:
         cset: feasible set supplying the LMO.
         zeta: positive learning rate shared by every row.
-        seed: integer seed or numpy Generator for one oracle's one-time
-            noise draw, or a list of them, one per row of the bank.
+        noise: (N, m) perturbations, one row per oracle of the bank.
 
     Attributes:
-        noise: (N, m) perturbations, row r drawn from the r-th seed.
+        noise: (N, m) perturbations.
         accum: (N, m) running feedback sums.
     """
 
-    def __init__(self, cset: ConstraintSet, zeta: float, seed):
+    def __init__(self, cset: ConstraintSet, zeta: float, noise):
         if not (np.isfinite(zeta) and zeta > 0):
             raise ValueError(f"zeta must be positive, got {zeta}")
-        seeds = seed if isinstance(seed, (list, tuple)) else [seed]
-        if not seeds:
-            raise ValueError("an oracle bank needs at least one row")
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.ndim != 2 or noise.shape[1] != cset.dim or not len(noise):
+            raise ValueError(f"noise has shape {noise.shape}, expected (N >= 1, {cset.dim})")
         self.cset = cset
         self.zeta = float(zeta)
-        self.noise = np.array([np.random.default_rng(s).uniform(size=cset.dim) for s in seeds])
-        self.accum = np.zeros_like(self.noise)
+        self.noise = noise
+        self.accum = np.zeros_like(noise)
 
     def query(self) -> np.ndarray:
         """(N, m) current predictions; pure, identical between feedback calls."""

@@ -7,6 +7,7 @@ The softmax fixtures also record the comparator's gap with ``repr``, as
 Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``round_recorder``, an observer that copies every round of an engine run,
 ``bits``, the bit patterns that bitwise comparisons of float arrays read,
+``ftpl_noise``, the noise rows for oracle banks built directly,
 ``feedback_spy``, which records the feedback calls oracle banks absorb,
 ``read_trace_csv``, which parses a written trace back into arrays, and
 ``bench_workload_digest``, the trace digest of a benchmark workload.
@@ -38,6 +39,11 @@ def write_schedule_csv(path, delays) -> None:
 def bits(a):
     """The uint64 bit patterns of a float64 array, so that -0.0 differs from +0.0."""
     return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def ftpl_noise(seeds, m):
+    """(len(seeds), m) oracle noise, row r drawn as default_rng(seeds[r]).uniform(size=m)."""
+    return np.array([np.random.default_rng(s).uniform(size=m) for s in seeds])
 
 
 def feedback_spy(monkeypatch):

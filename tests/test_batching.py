@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import bits, feedback_spy
+from _fixtures import bits, feedback_spy, ftpl_noise
+from _reference import oracle_rng
 from delayfw import de2mfw, metrics, seeding
 from delayfw.de2mfw import NetworkRun, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from delayfw.delay import gen_delays
@@ -125,16 +126,20 @@ def test_average_value_on_agent_stack():
 
 @PROPERTY
 @given(n=st.integers(1, 5), K=st.integers(1, 6), dim=st.integers(1, 6),
-       seed=st.integers(0, 2**31 - 1))
+       seed=st.one_of(st.integers(0, 2**31 - 1), st.integers(2**32, 2**80),
+                      st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 1])))
 def test_bank_noise_rows_follow_oracle_streams(n, K, dim, seed):
+    # seeds from 2**32 on are two or more entropy words, past the hash's 4-word pool with (0, i, k)
     cset = ConstraintSet("l1_ball", 1.0, dim)
     params = distributed_params(T=4, G=1.0, beta=1.0, D=2.0, B_est=4.0, a_dist=3.0, K=K)
     run = NetworkRun(cset, metropolis_weights(topology("cycle", n)), params, seed, window=1)
     assert run.bank.noise.shape == (n * K, dim)
     for i in range(n):
         for k in range(1, K + 1):
-            want = seeding.oracle_rng(seed, i, k).uniform(size=dim)
+            want = oracle_rng(seed, i, k).uniform(size=dim)
             np.testing.assert_array_equal(run.bank.noise[i * K + k - 1], want)
+    one = seeding.oracle_noise(seed, 1, 1, dim)  # n*K = 1
+    np.testing.assert_array_equal(one, [oracle_rng(seed, 0, 1).uniform(size=dim)])
     central = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed, window=1)
     np.testing.assert_array_equal(central.bank.noise, run.bank.noise[:K])
 
@@ -145,7 +150,7 @@ def test_bank_noise_rows_follow_oracle_streams(n, K, dim, seed):
 def test_bank_query_rows_equal_single_lmo(kind, rows, dim, zeta, feeds, seed):
     cset = ConstraintSet(kind, 1.5, dim)
     rng = np.random.default_rng(seed)
-    bank = FtplOracle(cset, zeta, [seed + r for r in range(rows)])
+    bank = FtplOracle(cset, zeta, ftpl_noise([seed + r for r in range(rows)], dim))
     for _ in range(feeds):
         bank.feedback(rng.normal(scale=5.0, size=(rows, dim)))
     some = sorted(rng.choice(rows, size=rows // 2, replace=False).tolist())
@@ -165,7 +170,7 @@ def test_bank_query_rows_equal_single_lmo(kind, rows, dim, zeta, feeds, seed):
        data=st.data())
 def test_bank_rejects_non_finite(rows, bad, data):
     cset = ConstraintSet("l1_ball", 1.0, 3)
-    bank = FtplOracle(cset, 0.5, list(range(rows)))
+    bank = FtplOracle(cset, 0.5, ftpl_noise(range(rows), 3))
     r = data.draw(st.integers(0, rows - 1))
     g = np.zeros((rows, 3))
     g[r, data.draw(st.integers(0, 2))] = bad
@@ -263,6 +268,11 @@ def test_diagnostics_cost_consensus_calls_only_when_on(monkeypatch, diagnostics)
     assert (trace.tracking is not None) == diagnostics
 
 
+def block_kernel(cls):
+    """The call per_agent_global_losses makes once a block: a class sum for quadratic losses."""
+    return (metrics, "_class_sum") if cls is QuadraticLoss else (cls, "value")
+
+
 def round_blocks(stream, T):
     """How many blocks of rounds per_agent_global_losses evaluates: n*n losses' data a round."""
     f, n = stream.losses, stream.n_agents
@@ -283,7 +293,8 @@ def assert_per_agent_losses_bitwise(stream, decisions):
 
 @pytest.mark.parametrize("loss", ["quadratic", "softmax"])
 def test_per_agent_losses_make_one_value_call_per_block(monkeypatch, loss):
-    # 12 agents: 14 quadratic or 37 softmax rounds a block, so 3 blocks either way
+    # 12 agents: 14 quadratic or 37 softmax rounds a block, so 3 blocks either way;
+    # a quadratic block is one coordinate-major class sum and no value call
     n = 12
     if loss == "quadratic":
         T, cls = 30, QuadraticLoss
@@ -293,8 +304,10 @@ def test_per_agent_losses_make_one_value_call_per_block(monkeypatch, loss):
         stream = synth_stream(0, T, p=3, C=2, batch=2, n_agents=n)
     decisions = np.random.default_rng(0).normal(size=(T, n, stream.dim))
     value = Counter(monkeypatch, cls, "value")
+    kernel = Counter(monkeypatch, *block_kernel(cls))
     per_agent_global_losses(stream, decisions)
-    assert value.calls == round_blocks(stream, T) == 3
+    assert kernel.calls == round_blocks(stream, T) == 3
+    assert value.calls == (0 if loss == "quadratic" else 3)
     assert_per_agent_losses_bitwise(stream, decisions)
 
 
@@ -308,11 +321,20 @@ def test_per_agent_losses_bitwise_equal_average_value(kind, n, T, block, seed):
     stream, cls = stream_of(kind, seed, T, n)
     decisions = np.random.default_rng(seed).normal(scale=2.0, size=(T, n, stream.dim))
     with mock.patch.object(metrics, "_BLOCK_FLOATS", block):
-        calls, value = [], cls.value
-        with mock.patch.object(cls, "value", lambda f, x: calls.append(1) or value(f, x)):
+        owner, name = block_kernel(cls)
+        calls, kernel = [], getattr(owner, name)
+        with mock.patch.object(owner, name, lambda *a: calls.append(1) or kernel(*a)):
             per_agent_global_losses(stream, decisions)
         assert len(calls) == round_blocks(stream, T)
         assert_per_agent_losses_bitwise(stream, decisions)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 9, 130])
+def test_quadratic_per_agent_losses_bitwise_across_dims(dim):
+    # dim picks the class-sum order: one by one, 8 accumulators (9: and a tail), or halving
+    stream = synth_quadratic_stream(dim, T=5, dim=dim, n_agents=9)
+    decisions = np.random.default_rng(dim).normal(scale=2.0, size=(5, 9, dim))
+    assert_per_agent_losses_bitwise(stream, decisions)
 
 
 def stream_of(kind, seed, T, n):

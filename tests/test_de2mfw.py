@@ -399,6 +399,25 @@ def test_quiet_rounds_copy_the_previous_round_without_a_query():
     assert np.array_equal(bits(decisions[:, 0]), bits(want))
 
 
+@pytest.mark.parametrize("watched", [False, True])
+def test_one_agent_absorbs_only_release_rounds_unless_observed(monkeypatch, watched):
+    # releases only at rounds 8, 16 and 24: an empty release only zeroes the
+    # sums, which just an observer reads, so unobserved runs absorb 3 times
+    T, K = 28, 5
+    delays = [8 * math.ceil(s / 8) - s + 1 for s in range(1, 25)] + [8] * 4
+    stream = synth_quadratic_stream(seed=3, T=T, dim=3, scale=0.7)
+    run = NetworkRun(L1, metropolis_weights(topology("complete", 1)), params_for(K=K, T=T),
+                     seed=3, window=8)
+    absorbed, absorb = [], NetworkRun.absorb_round
+    monkeypatch.setattr(NetworkRun, "absorb_round",
+                        lambda r, t, rows, losses: absorbed.append(t) or absorb(r, t, rows, losses))
+    zero = []
+    observe = (lambda t: zero.append(not run.sums.any())) if watched else None
+    run_rounds(run, stream, [DelaySchedule(delays, dmax=8)], observe)
+    assert absorbed == (list(range(1, T + 1)) if watched else [8, 16, 24])
+    assert zero == ([t % 8 != 0 or t > 24 for t in range(1, T + 1)] if watched else [])
+
+
 def late(T, s):
     """A delay that puts round s's feedback after round T."""
     return T - s + 2
@@ -503,6 +522,24 @@ def test_one_agent_release_sums_equal_the_scatter(g):
     np.add.at(want, np.zeros(r, dtype=np.int64), g)
     assert np.array_equal(bits(run.sums.swapaxes(0, 1)), bits(want))
     assert np.array_equal(bits(run.bank.accum), bits(want[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), min_size=2, max_size=5), data=st.data())
+def test_network_release_sums_equal_the_scatter(counts, data):
+    # each agent's rows in origin order into its zero seed, as np.add.at adds them
+    n, r = len(counts), sum(counts)
+    K, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    g = data.draw(arrays(np.float64, (r, K, m), elements=entries))
+    agents = np.repeat(np.arange(n), counts)
+    run = NetworkRun(ConstraintSet("l1_ball", 1.0, m), metropolis_weights(topology("cycle", n)),
+                     params_for(K=K, T=1), seed=0, window=1)
+    run.predict_round(1)
+    run.absorb_round(1, np.column_stack([agents, np.ones(r, dtype=np.int64)]), FixedGradients(g))
+    want = np.zeros((n, K, m))
+    np.add.at(want, agents, g)
+    assert np.array_equal(bits(run.sums.swapaxes(0, 1)), bits(want))
 
 
 # -- bookkeeping --------------------------------------------------------------------

@@ -37,7 +37,7 @@ from _fixtures import (
     golden_softmax_central,
     golden_softmax_net,
 )
-from delayfw import seeding
+from _reference import oracle_rng
 from delayfw.metrics import compute_comparator
 from delayfw.network import metropolis_weights, topology
 
@@ -77,7 +77,7 @@ def hand_regret_curve(inst, comp_x, value_at):
 def hand_delmfw():
     T, K, A, zeta = 4, 4, 3.0, 0.5
     thetas = [np.array(th) for th in DELMFW_THETAS]
-    noises = [seeding.oracle_rng(0, 0, k).uniform(size=2) for k in range(1, K + 1)]
+    noises = [oracle_rng(0, 0, k).uniform(size=2) for k in range(1, K + 1)]
     accums = [np.zeros(2) for _ in range(K)]
     rel = releases(DELMFW_DELAYS, T)
     stored = {}
@@ -140,7 +140,7 @@ def hand_de2mfw():
     n, T, K, zeta, A = 3, 3, 4, 0.25, 3.0
     w = hand_metropolis_path3()
     thetas = [[np.array(th) for th in agent] for agent in DE2MFW_THETAS]
-    noises = [[seeding.oracle_rng(0, i, k).uniform(size=2) for k in range(1, K + 1)]
+    noises = [[oracle_rng(0, i, k).uniform(size=2) for k in range(1, K + 1)]
               for i in range(n)]
     accums = [[np.zeros(2) for _ in range(K)] for _ in range(n)]
     rel = [releases(DE2MFW_DELAYS[i], T) for i in range(n)]

@@ -1,56 +1,57 @@
 """FTPL oracle tests: determinism, query algebra, expectation-level bounds.
 
 A single oracle is an FtplOracle bank with one row: ``query()`` returns a
-(1, m) array and ``feedback`` takes a (1, m) array.
+(1, m) array and ``feedback`` takes a (1, m) array.  Oracles built here
+take their noise rows from ``ftpl_noise``; the engine's bank noise comes
+from ``seeding.oracle_noise``.
 """
 
 import numpy as np
 import pytest
 
 from delayfw.geometry import ConstraintSet
-from _fixtures import feedback_spy
+from _fixtures import feedback_spy, ftpl_noise
 from _reference import ftpl_query_expected
 from delayfw.oracle import FtplOracle
+from delayfw.seeding import oracle_noise
 
 L1 = ConstraintSet("l1_ball", 1.0, 2)
 
 
 def make_oracle(noise, cset=L1, zeta=1.0):
-    o = FtplOracle(cset, zeta, seed=0)
-    o.noise = np.asarray([noise], dtype=np.float64)
-    return o
+    return FtplOracle(cset, zeta, [noise])
 
 
 def test_new_oracle_state(monkeypatch):
     absorbed = feedback_spy(monkeypatch)
-    o = FtplOracle(ConstraintSet("l1_ball", 1.0, 2), 0.5, seed=7)
+    o = FtplOracle(ConstraintSet("l1_ball", 1.0, 2), 0.5, ftpl_noise([7], 2))
     np.testing.assert_array_equal(o.accum, [[0.0, 0.0]])
     assert absorbed == []  # construction feeds nothing
     assert np.all((o.noise >= 0.0) & (o.noise <= 1.0))
 
 
 def test_equal_seed_equal_noise():
-    a = FtplOracle(L1, 0.5, seed=123)
-    b = FtplOracle(L1, 0.5, seed=123)
-    np.testing.assert_array_equal(a.noise, b.noise)
-    c = FtplOracle(L1, 0.5, seed=124)
-    assert not np.array_equal(a.noise, c.noise)
+    a, b, c = (oracle_noise(s, 2, 3, 2) for s in (123, 123, 124))
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert len(np.unique(a, axis=0)) == 6  # every (agent, k) row is its own stream
 
 
 def test_noise_is_uniform_mean_check():
-    # 1e5 independently seeded rows; per-coordinate mean of a
+    # 1e5 independently seeded rows of one bank; per-coordinate mean of a
     # Uniform[0,1] sample of this size lies in [0.49, 0.51] (11 sigma).
-    bank = FtplOracle(L1, 1.0, seed=list(range(100_000)))
-    assert bank.noise.shape == (100_000, 2)
-    mean = bank.noise.sum(axis=0) / 100_000
+    noise = oracle_noise(0, 1000, 100, 2)
+    assert noise.shape == (100_000, 2)
+    assert np.all((noise >= 0.0) & (noise < 1.0))
+    mean = noise.sum(axis=0) / 100_000
     assert np.all(mean >= 0.49) and np.all(mean <= 0.51)
 
 
 def test_zeta_validation():
     with pytest.raises(ValueError):
-        FtplOracle(L1, 0.0, seed=0)
+        FtplOracle(L1, 0.0, ftpl_noise([0], 2))
     with pytest.raises(ValueError):
-        FtplOracle(L1, -1.0, seed=0)
+        FtplOracle(L1, -1.0, ftpl_noise([0], 2))
 
 
 def test_query_empty_history_is_lmo_of_noise():
@@ -68,14 +69,14 @@ def test_query_matches_lmo_of_perturbed_sum():
     rng = np.random.default_rng(5)
     cset = ConstraintSet("l1_ball", 1.5, 4)
     for trial in range(500):
-        o = FtplOracle(cset, 0.3, seed=trial)
+        o = FtplOracle(cset, 0.3, ftpl_noise([trial], 4))
         for _ in range(int(rng.integers(0, 6))):
             o.feedback(rng.normal(size=(1, 4)))
         np.testing.assert_array_equal(o.query()[0], cset.lmo(0.3 * o.accum[0] + o.noise[0]))
 
 
 def test_query_pure_between_feedbacks():
-    o = FtplOracle(L1, 1.0, seed=3)
+    o = FtplOracle(L1, 1.0, ftpl_noise([3], 2))
     o.feedback([[0.4, -0.2]])
     q1 = o.query()
     q2 = o.query()
@@ -93,7 +94,7 @@ def test_feedback_accumulates(monkeypatch):
 
 
 def test_zero_feedback_leaves_query_unchanged():
-    o = FtplOracle(L1, 1.0, seed=11)
+    o = FtplOracle(L1, 1.0, ftpl_noise([11], 2))
     before = o.query()
     o.feedback([[0.0, 0.0]])
     np.testing.assert_array_equal(o.query(), before)
@@ -110,7 +111,7 @@ def test_feedback_order_independent():
 
 
 def test_feedback_validation():
-    o = FtplOracle(L1, 1.0, seed=0)
+    o = FtplOracle(L1, 1.0, ftpl_noise([0], 2))
     with pytest.raises(ValueError):
         o.feedback([[1.0]])
     with pytest.raises(ValueError):
@@ -120,9 +121,10 @@ def test_feedback_validation():
 
 
 def test_bank_rows_are_independent_oracles():
-    bank = FtplOracle(L1, 0.5, seed=[3, 4, 5])
+    bank = FtplOracle(L1, 0.5, ftpl_noise([3, 4, 5], 2))
     for r, s in enumerate([3, 4, 5]):
-        np.testing.assert_array_equal(bank.noise[r], FtplOracle(L1, 0.5, seed=s).noise[0])
+        single = FtplOracle(L1, 0.5, ftpl_noise([s], 2))
+        np.testing.assert_array_equal(bank.noise[r], single.noise[0])
     bank.feedback([[1.0, -2.0], [0.0, 0.0], [0.5, 0.5]])
     np.testing.assert_array_equal(bank.accum, [[1.0, -2.0], [0.0, 0.0], [0.5, 0.5]])
     bank.feedback(np.ones((3, 2)))
@@ -130,9 +132,11 @@ def test_bank_rows_are_independent_oracles():
 
 
 def test_bank_validation():
-    with pytest.raises(ValueError):
-        FtplOracle(L1, 0.5, seed=[])
-    bank = FtplOracle(L1, 0.5, seed=[1, 2])
+    # no rows, one row not stacked, a row of the wrong length
+    for bad in (np.empty((0, 2)), np.zeros(2), np.zeros((1, 3))):
+        with pytest.raises(ValueError):
+            FtplOracle(L1, 0.5, bad)
+    bank = FtplOracle(L1, 0.5, ftpl_noise([1, 2], 2))
     with pytest.raises(ValueError):
         bank.feedback(np.ones((1, 2)))  # two rows, one gradient
 
@@ -141,7 +145,7 @@ def test_determinism_bitwise():
     seq = [np.array([[0.1, -0.4]]), np.array([[-2.0, 0.3]]), np.array([[0.0, 1.0]])]
     runs = []
     for _ in range(2):
-        o = FtplOracle(L1, 0.7, seed=99)
+        o = FtplOracle(L1, 0.7, ftpl_noise([99], 2))
         qs = [o.query()]
         for g in seq:
             o.feedback(g)
