@@ -33,7 +33,7 @@ All agents advance in lockstep; the single-threaded execution order here
 is the reference semantics for any parallel driver.
 
 The n*K oracles sit in one bank, row i*K + k - 1 for oracle k of agent i,
-whose noise rows seeding.oracle_noise draws in one array pass, and answer a
+whose noise rows seeding.oracle_noise draws from one Generator, and answer a
 round's queries with one batched LMO call: the oracles never see the
 iterates.  The round's released (agent, origin) pairs come from a release
 table computed once from the schedules, and one gathered gradient call

@@ -283,7 +283,7 @@ def synth_quadratic_stream(seed, T: int, dim: int, n_agents: int = 1, scale: flo
     return LossStream(QuadraticLoss(thetas))
 
 
-def csv_ingest(path, batch: int, T: int, n_agents: int = 1, n_classes: int | None = None) -> LossStream:
+def csv_ingest(path, batch: int, T: int, n_agents: int = 1, *, n_classes: int) -> LossStream:
     """Build a softmax stream from a `label,f1,...,fp` CSV.
 
     Rows are consumed in file order, blank lines skipped, and dealt round-robin
@@ -312,10 +312,9 @@ def csv_ingest(path, batch: int, T: int, n_agents: int = 1, n_classes: int | Non
         feats.append(vec)
     labels = np.array(labels, dtype=np.int64)
     feats = np.array(feats, dtype=np.float64)
-    C = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    if labels.max() >= C:
-        raise ValueError(f"{path}: label {labels.max()} outside 0..{C - 1}")
+    if labels.max() >= n_classes:
+        raise ValueError(f"{path}: label {labels.max()} outside 0..{n_classes - 1}")
     # row j of the file goes to agent j % n_agents, in file order, wrapping at the end
     j = np.arange(T * batch).reshape(T, batch) * n_agents + np.arange(n_agents)[:, None, None]
     pick = j % labels.size  # (n_agents, T, batch)
-    return LossStream(SoftmaxLoss(feats[pick], labels[pick], C))
+    return LossStream(SoftmaxLoss(feats[pick], labels[pick], n_classes))

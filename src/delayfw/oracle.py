@@ -8,9 +8,9 @@ LMO on its perturbed accumulated feedback::
 
 with ``noise_r`` a fixed Uniform[0,1]^m draw that the caller supplies as
 row r of an (N, m) array (the distributed engine draws a whole bank's rows
-with ``seeding.oracle_noise``).  A prediction depends on history only
-through that sum, so the N queries of a bank are one batched LMO call.  A
-single oracle is a bank with N = 1.
+from one Generator with ``seeding.oracle_noise``).  A prediction depends
+on history only through that sum, so the N queries of a bank are one
+batched LMO call.  A single oracle is a bank with N = 1.
 Fixing the perturbation keeps every run deterministic; the tests check
 claims about the *expected* prediction over the noise distribution by
 Monte-Carlo averages of the same LMO.

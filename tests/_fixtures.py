@@ -9,11 +9,13 @@ Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``bits``, the bit patterns that bitwise comparisons of float arrays read,
 ``ftpl_noise``, the noise rows for oracle banks built directly,
 ``feedback_spy``, which records the feedback calls oracle banks absorb,
-``read_trace_csv``, which parses a written trace back into arrays, and
+``read_trace_csv``, which parses a written trace back into arrays,
+``read_golden``, the text of a committed golden file, and
 ``bench_workload_digest``, the trace digest of a benchmark workload.
 """
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -28,6 +30,13 @@ from delayfw.network import topology
 from delayfw.oracle import FtplOracle
 
 CSET = ConstraintSet("l1_ball", 1.0, 2)
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def read_golden(name):
+    """The text of the committed file tests/golden/<name>."""
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def write_schedule_csv(path, delays) -> None:

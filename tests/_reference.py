@@ -11,9 +11,7 @@ is the comparator loop that evaluates the summed loss's value and its
 gradient in separate calls, four per iteration at two distinct points;
 the fused comparator must match it bit for bit.  l1_lmo_by_sign picks the
 l1-ball vertex by sign, zero mask and multiply; the batched LMO's one
-np.where must match it bit for bit.  oracle_rng is one oracle's own numpy
-Generator; the array draw seeding.oracle_noise must match its uniform
-draws bit for bit.
+np.where must match it bit for bit.
 """
 
 import math
@@ -27,11 +25,6 @@ from delayfw.metrics import Comparator
 _MC_CHUNK = 16384
 
 
-def oracle_rng(seed, agent, k):
-    """Stream for oracle k of the given agent (agent 0 = centralized)."""
-    return seeding.rng_for(seed, seeding.STREAM_ORACLE, agent, k)
-
-
 def meta_fw_run(cset, stream, params, seed, schedule=None):
     """Delayed meta-Frank-Wolfe; without a schedule, round t's feedback arrives at round t.
 
@@ -41,7 +34,7 @@ def meta_fw_run(cset, stream, params, seed, schedule=None):
     """
     K, T, zeta = params.K, params.T, params.zeta
     m = cset.dim
-    noises = [oracle_rng(seed, 0, k).uniform(size=m) for k in range(1, K + 1)]
+    noises = seeding.rng_for(seed, seeding.STREAM_ORACLE).uniform(size=(K, m))
     accums = [np.zeros(m) for _ in range(K)]
     start = cset.lmo(np.zeros(m))
     decisions = np.empty((T, m))

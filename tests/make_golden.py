@@ -13,6 +13,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from _fixtures import (  # noqa: E402
     BENCH_WORKLOADS,
+    GOLDEN_DIR,
     bench_workload_digest,
     golden_de2mfw,
     golden_de2mfw_config,
@@ -24,8 +25,7 @@ from _fixtures import (  # noqa: E402
 
 
 def main():
-    out_dir = os.path.join(os.path.dirname(__file__), "golden")
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, build in [("delmfw_t4.csv", golden_delmfw),
                         ("de2mfw_n3.csv", golden_de2mfw),
                         ("dofw_t3.csv", golden_dofw),
@@ -33,10 +33,10 @@ def main():
                         ("softmax_central_c9.csv", golden_softmax_central),
                         ("de2mfw_config.csv", golden_de2mfw_config)]:
         trace = build()[0]
-        path = os.path.join(out_dir, name)
+        path = os.path.join(GOLDEN_DIR, name)
         trace.write_csv(path)
         print(f"wrote {path}")
-    path = os.path.join(out_dir, "bench_workloads.sha256")
+    path = os.path.join(GOLDEN_DIR, "bench_workloads.sha256")
     with open(path, "w") as fh:
         fh.writelines(f"{bench_workload_digest(name)}  {name}\n" for name in sorted(BENCH_WORKLOADS))
     print(f"wrote {path}")

@@ -6,13 +6,12 @@ pins one.
 """
 
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
-from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw
+from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw, read_golden
 from _reference import meta_fw_run
 from delayfw import runner, seeding
 from delayfw.baselines import dofw_run
@@ -22,8 +21,6 @@ from delayfw.geometry import ConstraintSet
 from delayfw.losses import synth_quadratic_stream, synth_stream
 from delayfw.metrics import attach_regret, compute_comparator
 from delayfw.network import k0_of, metropolis_weights, topology
-
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def report(name, detail):
@@ -309,6 +306,6 @@ def test_criterion_9_golden_traces():
     for name, build in (("delmfw_t4.csv", golden_delmfw),
                         ("de2mfw_n3.csv", golden_de2mfw),
                         ("dofw_t3.csv", golden_dofw)):
-        committed = open(os.path.join(GOLDEN_DIR, name)).read()
+        committed = read_golden(name)
         assert build()[0].csv_text() == committed, f"{name} drifted"
     report(9, "three golden fixtures byte-identical")

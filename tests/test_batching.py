@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import bits, feedback_spy, ftpl_noise
-from _reference import oracle_rng
 from delayfw import de2mfw, metrics, seeding
 from delayfw.de2mfw import NetworkRun, centralized_params, de2mfw_run, delmfw_run, distributed_params
 from delayfw.delay import gen_delays
@@ -125,23 +124,27 @@ def test_average_value_on_agent_stack():
 
 
 @PROPERTY
-@given(n=st.integers(1, 5), K=st.integers(1, 6), dim=st.integers(1, 6),
+@given(n=st.integers(1, 5), K=st.integers(1, 6), dim=st.integers(1, 6), more=st.integers(1, 3),
        seed=st.one_of(st.integers(0, 2**31 - 1), st.integers(2**32, 2**80),
                       st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 1])))
-def test_bank_noise_rows_follow_oracle_streams(n, K, dim, seed):
-    # seeds from 2**32 on are two or more entropy words, past the hash's 4-word pool with (0, i, k)
+def test_bank_noise_rows_follow_oracle_streams(n, K, dim, more, seed):
+    # seeds from 2**32 on are two or more entropy words of the SeedSequence
     cset = ConstraintSet("l1_ball", 1.0, dim)
     params = distributed_params(T=4, G=1.0, beta=1.0, D=2.0, B_est=4.0, a_dist=3.0, K=K)
-    run = NetworkRun(cset, metropolis_weights(topology("cycle", n)), params, seed, window=1)
-    assert run.bank.noise.shape == (n * K, dim)
-    for i in range(n):
-        for k in range(1, K + 1):
-            want = oracle_rng(seed, i, k).uniform(size=dim)
-            np.testing.assert_array_equal(run.bank.noise[i * K + k - 1], want)
+
+    def bank_noise(agents):
+        gossip = metropolis_weights(topology("cycle", agents))
+        return NetworkRun(cset, gossip, params, seed, window=1).bank.noise
+
+    def draw(rows):
+        return seeding.rng_for(seed, seeding.STREAM_ORACLE).uniform(size=(rows, dim))
+
+    noise = bank_noise(n)
+    assert noise.shape == (n * K, dim)
+    np.testing.assert_array_equal(bits(noise), bits(draw(n * K)))
     one = seeding.oracle_noise(seed, 1, 1, dim)  # n*K = 1
-    np.testing.assert_array_equal(one, [oracle_rng(seed, 0, 1).uniform(size=dim)])
-    central = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed, window=1)
-    np.testing.assert_array_equal(central.bank.noise, run.bank.noise[:K])
+    np.testing.assert_array_equal(bits(one), bits(draw(1)))
+    np.testing.assert_array_equal(bits(bank_noise(n + more)[:n * K]), bits(noise))
 
 
 @PROPERTY

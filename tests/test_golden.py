@@ -12,8 +12,6 @@ of their trace CSVs (bench_workloads.sha256), so a moved benchmark trace
 fails here and not only in a benchmark run.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -36,12 +34,11 @@ from _fixtures import (
     golden_dofw,
     golden_softmax_central,
     golden_softmax_net,
+    read_golden,
 )
-from _reference import oracle_rng
+from delayfw import seeding
 from delayfw.metrics import compute_comparator
 from delayfw.network import metropolis_weights, topology
-
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def l1_lmo(z):
@@ -77,7 +74,7 @@ def hand_regret_curve(inst, comp_x, value_at):
 def hand_delmfw():
     T, K, A, zeta = 4, 4, 3.0, 0.5
     thetas = [np.array(th) for th in DELMFW_THETAS]
-    noises = [oracle_rng(0, 0, k).uniform(size=2) for k in range(1, K + 1)]
+    noises = seeding.rng_for(0, seeding.STREAM_ORACLE).uniform(size=(K, 2))
     accums = [np.zeros(2) for _ in range(K)]
     rel = releases(DELMFW_DELAYS, T)
     stored = {}
@@ -117,7 +114,7 @@ def test_delmfw_hand_simulation():
 
 def test_delmfw_golden_bytes():
     trace, _, _ = golden_delmfw()
-    committed = open(os.path.join(GOLDEN_DIR, "delmfw_t4.csv")).read()
+    committed = read_golden("delmfw_t4.csv")
     assert trace.csv_text() == committed
 
 
@@ -140,8 +137,7 @@ def hand_de2mfw():
     n, T, K, zeta, A = 3, 3, 4, 0.25, 3.0
     w = hand_metropolis_path3()
     thetas = [[np.array(th) for th in agent] for agent in DE2MFW_THETAS]
-    noises = [[oracle_rng(0, i, k).uniform(size=2) for k in range(1, K + 1)]
-              for i in range(n)]
+    noises = seeding.rng_for(0, seeding.STREAM_ORACLE).uniform(size=(n * K, 2)).reshape(n, K, 2)
     accums = [[np.zeros(2) for _ in range(K)] for _ in range(n)]
     rel = [releases(DE2MFW_DELAYS[i], T) for i in range(n)]
     stored = {}
@@ -216,7 +212,7 @@ def test_de2mfw_hand_simulation():
 
 def test_de2mfw_golden_bytes():
     trace, _, _ = golden_de2mfw()
-    committed = open(os.path.join(GOLDEN_DIR, "de2mfw_n3.csv")).read()
+    committed = read_golden("de2mfw_n3.csv")
     assert trace.csv_text() == committed
 
 
@@ -257,7 +253,7 @@ def test_dofw_hand_simulation():
 
 def test_dofw_golden_bytes():
     trace, _, _ = golden_dofw()
-    committed = open(os.path.join(GOLDEN_DIR, "dofw_t3.csv")).read()
+    committed = read_golden("dofw_t3.csv")
     assert trace.csv_text() == committed
 
 
@@ -269,7 +265,7 @@ def test_dofw_golden_bytes():
 def test_softmax_golden_bytes(name, build):
     """C = 3 on a network with diagnostics, and C = 9, where numpy sums the classes pairwise."""
     trace = build()[0]
-    committed = open(os.path.join(GOLDEN_DIR, name)).read()
+    committed = read_golden(name)
     assert trace.csv_text() == committed
 
 
@@ -279,7 +275,7 @@ def test_softmax_golden_bytes(name, build):
 def test_de2mfw_config_golden_bytes():
     """The default K, zeta and network A, as `delayfw run` resolves them."""
     trace = golden_de2mfw_config()[0]
-    committed = open(os.path.join(GOLDEN_DIR, "de2mfw_config.csv")).read()
+    committed = read_golden("de2mfw_config.csv")
     assert trace.csv_text() == committed
 
 
@@ -287,8 +283,8 @@ def test_de2mfw_config_golden_bytes():
 
 
 def bench_digests():
-    with open(os.path.join(GOLDEN_DIR, "bench_workloads.sha256")) as fh:
-        return {name: digest for digest, name in (line.split() for line in fh)}
+    lines = read_golden("bench_workloads.sha256").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))

@@ -321,13 +321,13 @@ def write_csv(path, rows):
 def test_csv_ingest_basic(tmp_path):
     p = tmp_path / "d.csv"
     write_csv(p, [[0, 1.0, 0.0], [1, 0.0, 1.0], [0, 0.5, 0.5], [1, -1.0, 0.0]])
-    stream = csv_ingest(p, batch=2, T=2)
+    stream = csv_ingest(p, batch=2, T=2, n_classes=2)
     assert stream.T == 2 and stream.n_agents == 1
     np.testing.assert_array_equal(stream.loss(0, 1).features, [[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal(stream.loss(0, 2).features, [[0.5, 0.5], [-1.0, 0.0]])
     with open(p, "a") as fh:
         fh.write("\n")  # a trailing blank line is skipped
-    again = csv_ingest(p, batch=2, T=2)
+    again = csv_ingest(p, batch=2, T=2, n_classes=2)
     np.testing.assert_array_equal(again.losses.features, stream.losses.features)
     np.testing.assert_array_equal(again.losses.labels, stream.losses.labels)
 
@@ -335,7 +335,7 @@ def test_csv_ingest_basic(tmp_path):
 def test_csv_ingest_wraps(tmp_path):
     p = tmp_path / "d.csv"
     write_csv(p, [[0, 1.0, 0.0], [1, 0.0, 1.0], [0, 0.5, 0.5]])
-    stream = csv_ingest(p, batch=2, T=2)
+    stream = csv_ingest(p, batch=2, T=2, n_classes=2)
     np.testing.assert_array_equal(stream.loss(0, 2).features, [[0.5, 0.5], [1.0, 0.0]])
     np.testing.assert_array_equal(stream.loss(0, 2).labels, [0, 0])
 
@@ -343,7 +343,7 @@ def test_csv_ingest_wraps(tmp_path):
 def test_csv_ingest_round_robin_agents(tmp_path):
     p = tmp_path / "d.csv"
     write_csv(p, [[0, 1.0], [1, 2.0], [0, 3.0], [1, 4.0]])
-    stream = csv_ingest(p, batch=1, T=2, n_agents=2)
+    stream = csv_ingest(p, batch=1, T=2, n_agents=2, n_classes=2)
     assert stream.loss(0, 1).features[0, 0] == 1.0
     assert stream.loss(1, 1).features[0, 0] == 2.0
     assert stream.loss(0, 2).features[0, 0] == 3.0
@@ -354,7 +354,7 @@ def test_csv_ingest_hand_computed_loss(tmp_path):
     # two samples, C=2, x=0: loss = 2*ln2 regardless of features
     p = tmp_path / "d.csv"
     write_csv(p, [[0, 0.3, -0.1], [1, 0.2, 0.9]])
-    stream = csv_ingest(p, batch=2, T=1)
+    stream = csv_ingest(p, batch=2, T=1, n_classes=2)
     assert stream.loss(0, 1).value(np.zeros(4)) == pytest.approx(2.0 * math.log(2.0))
 
 
@@ -362,16 +362,16 @@ def test_csv_ingest_errors(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f1\n0,1.0\n1\n")
     with pytest.raises(ValueError):
-        csv_ingest(p, batch=1, T=1)
+        csv_ingest(p, batch=1, T=1, n_classes=2)
     p.write_text("label,f1\n0,1.0\n\n1\n")  # a skipped blank line still counts as a line
     with pytest.raises(ValueError, match=":4: inconsistent width 1 != 2"):
-        csv_ingest(p, batch=1, T=1)
+        csv_ingest(p, batch=1, T=1, n_classes=2)
     p.write_text("label,f1\n0,abc\n")
     with pytest.raises(ValueError):
-        csv_ingest(p, batch=1, T=1)
+        csv_ingest(p, batch=1, T=1, n_classes=2)
     p.write_text("label,f1\n5,1.0\n")
     with pytest.raises(ValueError):
         csv_ingest(p, batch=1, T=1, n_classes=3)
     p.write_text("label,f1\n")
     with pytest.raises(ValueError):
-        csv_ingest(p, batch=1, T=1)
+        csv_ingest(p, batch=1, T=1, n_classes=2)

@@ -34,11 +34,11 @@ def test_equal_seed_equal_noise():
     a, b, c = (oracle_noise(s, 2, 3, 2) for s in (123, 123, 124))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert len(np.unique(a, axis=0)) == 6  # every (agent, k) row is its own stream
+    assert len(np.unique(a, axis=0)) == 6  # every (agent, k) row is its own draw
 
 
 def test_noise_is_uniform_mean_check():
-    # 1e5 independently seeded rows of one bank; per-coordinate mean of a
+    # 1e5 rows of one bank, drawn in turn from one stream; per-coordinate mean of a
     # Uniform[0,1] sample of this size lies in [0.49, 0.51] (11 sigma).
     noise = oracle_noise(0, 1000, 100, 2)
     assert noise.shape == (100_000, 2)
