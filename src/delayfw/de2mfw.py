@@ -47,10 +47,13 @@ round, so a round reuses the longest prefix of steps whose outputs equal
 the previous round's bit for bit, for every agent, and runs the recursion
 only from the first step that differs.  The reuse is exact: step k reads
 only the start vertex, x_{t,k} and v_{t,k}, and identical inputs through
-identical numpy operations give identical bits.  A one-agent round that
-releases nothing leaves the bank untouched, so the rounds up to the next
-release (or T) repeat it whole: one quiet stretch, one ring copy, no query,
-and no absorb unless an observer reads the round's zero sums.
+identical numpy operations give identical bits.
+
+Round u's outputs depend only on feedback released before u, and a released
+gradient only on its origin's sub-iterates.  So with one agent and no
+observer, the rounds after round p up to the first release of a round after
+p are one dependency block: one gathered gradient call, one stacked feedback,
+one LMO call and one K-step loop for all its states (predict_block).
 
 A run keeps its latest round's arrays (x, v, y, S, d) until the next round
 replaces them.  The round loop's one optional observe(t) callback reads
@@ -142,9 +145,8 @@ class NetworkRun:
     agent's largest delay.  The latest round's other arrays are step-major
     (K, n, m) arrays or views, never copies, valid until the next round:
     vs and ys (oracle outputs v, mixed iterates y) from predict_round, sums
-    (S) and ds (d) from the latest absorb_round.  With one agent an empty
-    release set leaves the bank untouched, as there is nothing to exchange,
-    so the rounds after it repeat it whole until one releases (repeat_rounds).
+    (S) and ds (d) from the latest absorb_round.  A one-agent run may
+    instead predict a dependency block of rounds at once (predict_block).
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
@@ -162,7 +164,8 @@ class NetworkRun:
         self._keep = (1.0 - self._etas).tolist()  # 1 - eta_k
         self._mixed = np.empty((K, n, cset.dim))  # the ys of every round when n > 1
         self._predicted = 0
-        self.vs = self.ys = self.sums = self.ds = None
+        self.vs = np.full((K, n, cset.dim), np.nan)  # no output equals it: round 1 reuses nothing
+        self.ys = self.sums = self.ds = None
 
     def predict_round(self, t: int) -> np.ndarray:
         """All agents' K gossip-FW steps; returns the (n, m) played decisions.
@@ -181,11 +184,9 @@ class NetworkRun:
         vs = self.bank.query().reshape(n, K, m)
         subs[0] = self._start
         ys = self._mixed if n > 1 else subs[:K]  # W = [1] mixes exactly: y = x
-        j = 0  # steps 1..j repeat round t-1 exactly
-        if self.vs is not None:
-            same = (vs.view(np.uint64) == self.vs.swapaxes(0, 1).view(np.uint64)).all(axis=(0, 2))
-            j = int(same.argmin()) or K * bool(same[0])  # argmin is 0 also when none differs
-            subs[1:j + 1] = self.ring[(t - 1) % self.window, 1:j + 1]  # same slot at window 1
+        same = (vs.view(np.uint64) == self.vs.swapaxes(0, 1).view(np.uint64)).all(axis=(0, 2))
+        j = int(same.argmin()) or K * bool(same[0])  # steps 1..j repeat round t-1 exactly
+        subs[1:j + 1] = self.ring[(t - 1) % self.window, 1:j + 1]  # same slot at window 1
         if j < K:
             steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
         for k in range(j, K):
@@ -195,20 +196,49 @@ class NetworkRun:
         self.vs, self.ys = vs.swapaxes(0, 1), ys
         return subs[K].copy()
 
-    def repeat_rounds(self, u: int) -> np.ndarray:
-        """Copy the last predicted round into the rounds after it through u.
+    def predict_block(self, u: int, rows, sizes, losses, out) -> None:
+        """One agent's rounds p+1..u as one dependency block, p the last predicted round.
 
-        Valid with one agent while nothing feeds the bank.  ys points into
-        round u's slot, vs stays; returns a view of the (n, m) decisions.
+        rows, sizes and losses: the releases of rounds p..u-1 in round order,
+        each round's count and their (r, 1) stack; round p opens them and all
+        come from rounds up to p.  Round p+1+i plays the state after the
+        releases of rounds p..p+i; out gets the (u-p, 1, m) decisions.
         """
-        t, w = self._predicted, self.window
-        if self.n != 1 or not t < u <= self.params.T:
-            raise ValueError(f"cannot repeat round {t} through round {u} with {self.n} agents")
-        a, b = (t + 1) % w, (t + 1) % w + min(u - t, w - 1)  # slots a..b-1, wrapping past w
-        self.ring[a:b] = self.ring[:max(0, b - w)] = self.ring[t % w]
+        p, K, w, m = self._predicted, self.params.K, self.window, self.cset.dim
+        if self.n != 1 or not p < u <= self.params.T:
+            raise ValueError(f"cannot predict rounds {p + 1}..{u} as a block with {self.n} agents")
+        released = sizes > 0
+        if len(rows):
+            origins = rows[:, 1]
+            if not released[0] or origins.min() <= p - w or origins.max() > p:
+                raise ValueError(f"round {p} must open the releases, all from {max(1, p - w + 1)}..{p}")
+            # no stack is named, so the gradients, sums and running sums are freed once used
+            vs = self.bank.query(self.bank.feedback(_round_sums(
+                losses.grad(self.ring[origins % w, :K, 0]), sizes[released].tolist())))
+        else:
+            vs = self.bank.query(self.bank.accum[None])
+        bits = vs.view(np.uint64)  # each state against the one before it, step-major
+        differs = bits != np.concatenate((self.vs.swapaxes(0, 1).view(np.uint64), bits[:-1]))
+        differs = differs.swapaxes(0, 1).ravel()
+        j = differs.argmax() // (len(vs) * m) if differs.any() else K  # steps 1..j repeat round p's
+        self.vs = vs[-1, :, None].copy()
+        one = len(vs) == 1  # one state runs its steps in round p+1's own slot
+        xs = self.ring[(p + 1) % w] if one else np.empty((K + 1, len(vs), m))  # step-major
+        xs[0] = self._start
+        xs[1:j + 1] = self.ring[p % w, 1:j + 1]
+        steps = np.multiply(vs.swapaxes(0, 1), self._etas[:, None, None], order="C")
+        for k in range(j, K):
+            np.add(self._keep[k] * xs[k], steps[k], out=xs[k + 1])
+        state = released.cumsum() - released[0]  # round p+1+i plays state[i]
+        xs[K].take(state, axis=0, out=out[:, 0], mode="clip")
+        first = max(p + 1 + one, u - w + 1)  # earlier rounds are written, or overwritten later
+        a, b, state = first % w, first % w + u + 1 - first, state[first - p - 1:]
+        xs = xs.swapaxes(0, 1)
+        xs.take(state[:w - a], axis=0, out=self.ring[a:min(b, w), :, 0], mode="clip")
+        if b > w:  # wrapped past the last slot
+            xs.take(state[w - a:], axis=0, out=self.ring[:b - w, :, 0], mode="clip")
         self._predicted = u
-        self.ys = self.ring[u % w, :-1]
-        return self.ring[t % w, -1]
+        self.ys = self.ring[u % w, :K]
 
     def absorb_round(self, t: int, rows, losses) -> None:
         """Gradient-tracking exchanges and oracle feedback for round t.
@@ -253,14 +283,23 @@ class NetworkRun:
         self.sums, self.ds = sums, ds
 
 
+def _round_sums(g, counts) -> np.ndarray:
+    """Round i's sum of its counts[i] rows of g, added one by one into a zero seed."""
+    sums = np.zeros((len(counts),) + g.shape[1:])
+    rows = iter(g)
+    for total, count in zip(sums, counts):
+        for _ in range(count):
+            total += next(rows)
+    return sums
+
+
 def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> np.ndarray:
     """Drive the run through its T rounds; returns the (T, n, m) decisions.
 
     Each round predicts and absorbs the losses that mature this round, read
-    from the schedules' release table.  With one agent, the rounds after an
-    empty release up to the next release (or T) are one quiet stretch, and
-    the empty release itself absorbs nothing.  observe(t), when given, is
-    called after round t's absorb_round, which then runs in every round.
+    from the schedules' release table; with one agent and no observer each
+    dependency block is one predict_block, and round T's release is absorbed
+    last.  observe(t), when given, is called after round t's absorb_round.
     """
     T, n = run.params.T, run.n
     if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
@@ -268,23 +307,31 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
     table = FeedbackBuffer()
     table.push([s.d for s in schedules])
     decisions = np.empty((T, n, run.cset.dim))
-    t, quiet = 1, False
-    while t <= T:
-        if quiet:  # rounds t..u repeat round t-1; an observer sees them one by one
-            u = table.next_release[t - 1] if observe is None else t
-            decisions[t - 1:u] = run.repeat_rounds(u)
-            t = u
-        else:
-            decisions[t - 1] = run.predict_round(t)
+
+    def stack(rows):  # an empty stack is no loss (SoftmaxLoss rejects it)
+        return stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
+
+    if n == 1 and observe is None:
+        p = 0
+        while p < T:
+            u = table.block_end[p]
+            rows = table.release(max(p, 1), u - 1)
+            if u > p + 1:
+                run.predict_block(u, rows, table.sizes[p:u], stack(rows), decisions[p:u])
+            else:  # one round: its own steps cost less than a block's bookkeeping
+                if p:
+                    run.absorb_round(p, rows, stack(rows))
+                decisions[p] = run.predict_round(u)
+            p = u
+        rows = table.release(T)  # fed to the bank after the last round, as round T absorbs it
+        run.absorb_round(T, rows, stack(rows))
+        return decisions
+    for t in range(1, T + 1):
+        decisions[t - 1] = run.predict_round(t)
         rows = table.release(t)
-        quiet = n == 1 and not len(rows)
-        if not quiet or observe is not None:  # a quiet absorb only zeroes sums and ds
-            # an empty stack is no loss (SoftmaxLoss rejects it)
-            losses = stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
-            run.absorb_round(t, rows, losses)
-            if observe is not None:
-                observe(t)
-        t += 1
+        run.absorb_round(t, rows, stack(rows))
+        if observe is not None:
+            observe(t)
     return decisions
 
 

@@ -91,18 +91,21 @@ class FeedbackBuffer:
         """Tabulate F^i_t for every agent i and round t from the delays d^i_s."""
         d = np.asarray(d, dtype=np.int64)  # (n, T), every d^i_s >= 1 as DelaySchedule checks
         T = d.shape[1]
-        due = (np.arange(T) + d).ravel()  # s + d^i_s - 1, agent-major
-        order = np.argsort(due, kind="stable")  # ties stay in (agent, origin) order
-        ends = np.searchsorted(due[order], np.arange(T + 1), side="right")
+        due = np.arange(T) + d  # s + d^i_s - 1
+        order = np.argsort(due.ravel(), kind="stable")  # ties stay in (agent, origin) order
+        ends = np.searchsorted(due.ravel()[order], np.arange(T + 1), side="right")
         # (agent, origin) rows of the feedback due by T; what is due later never comes
         self._rows = np.stack(np.divmod(order[:ends[-1]], T), axis=1) + [0, 1]
         self._rows.flags.writeable = False
         self._ends = ends.tolist()
-        # next_release[t - 1]: the first round u >= t that releases anything, T if none
-        self.next_release = np.append(due[order[:ends[-1]]], T)[ends[:-1]].tolist()
+        self.sizes = np.diff(ends, prepend=0)  # sizes[t] = sum_i |F^i_t|, and sizes[0] = 0
+        # block_end[p]: the first round after p that releases an origin s > p, or T; s comes
+        # out at its earliest due round over agents, which is never before s
+        self.block_end = np.minimum.accumulate(due.min(axis=0)[::-1])[::-1].clip(max=T).tolist()
 
-    def release(self, t: int) -> np.ndarray:
-        """F_t as (agent, origin) rows, sorted by agent and then origin; (0, 2) when empty."""
-        if not 1 <= t < len(self._ends):
-            raise ValueError(f"round {t} outside 1..{len(self._ends) - 1}")
-        return self._rows[self._ends[t - 1]:self._ends[t]]
+    def release(self, t: int, last: int | None = None) -> np.ndarray:
+        """F_t..F_last (last = t by default) as (agent, origin) rows by round, agent, origin."""
+        last = t if last is None else last
+        if not (1 <= t < len(self._ends) and t - 1 <= last < len(self._ends)):
+            raise ValueError(f"rounds {t}..{last} outside 1..{len(self._ends) - 1}")
+        return self._rows[self._ends[t - 1]:self._ends[last]]

@@ -230,6 +230,7 @@ def attach_regret(trace: RunTrace, comparator: Comparator, stream: LossStream) -
 def consensus_error(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
     """max_i ||vectors[..., i, :] - center|| of an (..., n, m) stack and (..., m) centers.
 
-    A (K, n, m) stack gives the (K,) array of its per-slice values.
+    A (K, n, m) stack gives the (K,) array of its per-slice values, bit for bit as norms.
     """
-    return np.max(np.linalg.norm(vectors - center[..., None, :], axis=-1), axis=-1)
+    d = vectors - center[..., None, :]
+    return np.sqrt(np.max(np.add.reduce(d * d, axis=-1), axis=-1))

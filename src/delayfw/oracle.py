@@ -54,15 +54,24 @@ class FtplOracle:
         self.noise = noise
         self.accum = np.zeros_like(noise)
 
-    def query(self) -> np.ndarray:
-        """(N, m) current predictions; pure, identical between feedback calls."""
-        return self.cset.lmo_batch(self.zeta * self.accum + self.noise)
+    def query(self, accum=None) -> np.ndarray:
+        """(..., N, m) predictions at running sums accum (default: the current ones); pure."""
+        z = self.zeta * (self.accum if accum is None else accum) + self.noise
+        return self.cset.lmo_batch(z.reshape(-1, z.shape[-1])).reshape(z.shape)
 
-    def feedback(self, g) -> None:
-        """Absorb one linear-loss gradient per row, g of shape (N, m), into the running sums."""
+    def feedback(self, g) -> np.ndarray:
+        """Absorb one gradient per row, g (N, m) or a (b, N, m) stack; returns the sums, read-only."""
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != self.accum.shape:
-            raise ValueError(f"feedback has shape {g.shape}, expected {self.accum.shape}")
+        if g.ndim not in (2, 3) or g.shape[-2:] != self.accum.shape:
+            raise ValueError(f"feedback has shape {g.shape}, not ([b,] {self.accum.shape})")
         if not np.isfinite(g).all():
             raise ValueError("non-finite entries in feedback")
-        self.accum = self.accum + g
+        if g.ndim == 2:
+            self.accum = self.accum + g
+            return self.accum
+        sums = np.empty_like(g)
+        accum = self.accum
+        for row, out in zip(g, sums):  # the bits of b calls, faster than np.add.accumulate
+            accum = np.add(accum, row, out=out)
+        self.accum = accum.copy()  # not a view that keeps the stack alive
+        return sums

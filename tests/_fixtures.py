@@ -10,7 +10,8 @@ Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``ftpl_noise``, the noise rows for oracle banks built directly,
 ``feedback_spy``, which records the feedback calls oracle banks absorb,
 ``read_trace_csv``, which parses a written trace back into arrays,
-``read_golden``, the text of a committed golden file, and
+``read_text``, the text of a written file, ``read_golden``, the text of a
+committed golden file, and
 ``bench_workload_digest``, the trace digest of a benchmark workload.
 """
 
@@ -33,10 +34,15 @@ CSET = ConstraintSet("l1_ball", 1.0, 2)
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def read_text(path):
+    """The text of the file at path, read as UTF-8 and closed."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def read_golden(name):
     """The text of the committed file tests/golden/<name>."""
-    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
-        return fh.read()
+    return read_text(os.path.join(GOLDEN_DIR, name))
 
 
 def write_schedule_csv(path, delays) -> None:

@@ -165,6 +165,28 @@ def test_bank_query_rows_equal_single_lmo(kind, rows, dim, zeta, feeds, seed):
         np.testing.assert_array_equal(out[r], cset.lmo(zeta * bank.accum[r] + bank.noise[r]))
 
 
+@PROPERTY
+@given(kind=st.sampled_from(KINDS), rows=st.integers(1, 12), dim=st.integers(1, 6),
+       b=st.integers(1, 5), zeta=st.floats(1e-3, 10.0), seed=st.integers(0, 2**31 - 1))
+def test_stacked_feedback_equals_one_call_per_gradient(kind, rows, dim, b, zeta, seed):
+    # a (b, N, m) stack is absorbed in order; one query answers all b running sums
+    cset = ConstraintSet(kind, 1.5, dim)
+    rng = np.random.default_rng(seed)
+    noise = ftpl_noise([seed + r for r in range(rows)], dim)
+    stacked, single = FtplOracle(cset, zeta, noise), FtplOracle(cset, zeta, noise)
+    g = rng.normal(scale=5.0, size=(b, rows, dim))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    sums = stacked.feedback(g)
+    outs = stacked.query(sums)
+    assert sums.shape == outs.shape == (b, rows, dim)
+    for i in range(b):
+        single.feedback(g[i])
+        assert np.array_equal(bits(sums[i]), bits(single.accum))
+        assert np.array_equal(bits(outs[i]), bits(single.query()))
+    assert np.array_equal(bits(stacked.accum), bits(single.accum))
+    assert not np.shares_memory(stacked.accum, sums)
+
+
 # -- (c) non-finite state still raises ---------------------------------------------
 
 
@@ -183,6 +205,9 @@ def test_bank_rejects_non_finite(rows, bad, data):
             bank.feedback(g)  # zero rows beside the bad one
     assert absorbed == []
     assert not np.any(bank.accum)  # the good rows were not absorbed either
+    with pytest.raises(ValueError):
+        bank.feedback(np.stack([np.zeros((rows, 3)), g]))  # a stack, the bad gradient last
+    assert not np.any(bank.accum)
     bank.accum[r, 0] = bad  # only reachable by writing the state directly
     with pytest.raises(ValueError):
         bank.query()
@@ -216,26 +241,40 @@ def rounds_with_releases(schedules, T):
     return np.unique(due[due <= T]).size
 
 
-def test_delmfw_one_lmo_call_per_round(monkeypatch):
+def blocks_of(schedule, T):
+    """The dependency blocks of a one-agent run: (p, u) for rounds p+1..u."""
+    due = np.arange(T) + schedule.d  # s + d_s - 1 for s = 1..T
+    ends, p = [], 0
+    while p < T:
+        u = min(T, int(due[p:].min()))  # the first release of an origin after p
+        ends.append((p, u))
+        p = u
+    return ends
+
+
+def test_delmfw_one_lmo_call_per_block(monkeypatch):
     T, dim = 60, 4
     cset = ConstraintSet("l1_ball", 1.0, dim)
     stream = synth_quadratic_stream(seed=3, T=T, dim=dim)
     schedule = gen_delays(T, 9, seed=4)
     G, beta = estimate_constants(stream, cset)
     params = centralized_params(T, G, beta, cset.diameter(), schedule.B)
-    lmo = Counter(monkeypatch, ConstraintSet, "lmo_batch")
+    rows, lmo_batch = [], ConstraintSet.lmo_batch
+    monkeypatch.setattr(ConstraintSet, "lmo_batch", lambda c, z: rows.append(len(z)) or lmo_batch(c, z))
     query = Counter(monkeypatch, FtplOracle, "query")
     grad = Counter(monkeypatch, QuadraticLoss, "grad")
     delmfw_run(cset, stream, schedule, params, seed=1)
-    # round 1 queries, and so does each round after one that fed the bank;
-    # a round after a round without releases reuses the previous round whole
+    # rounds p+1..u see only feedback from rounds up to p: one query per block
+    blocks = blocks_of(schedule, T)
+    assert query.calls == len(blocks) < T
+    assert len(rows) == query.calls + 1  # plus the start vertex, computed once per run
+    # each running sum is answered once: the empty one and one per round t < T with releases
     due = np.arange(1, T + 1) + schedule.d - 1
-    assert query.calls == 1 + np.unique(due[due < T]).size
-    assert query.calls < T
-    assert lmo.calls == query.calls + 1  # plus the start vertex, computed once per run
-    # one gathered call per round with a non-empty release set, all K at once
-    assert grad.calls == rounds_with_releases([schedule], T)
-    assert grad.calls < released_by_end(schedule, T)  # fewer than one per released loss
+    assert rows[0] == 1 and sum(rows[1:]) == params.K * (1 + np.unique(due[due < T]).size)
+    # one gathered call per block whose rounds p..u-1 release, and one for the release at T
+    releases = [bool(np.any((due >= max(p, 1)) & (due < u))) for p, u in blocks]
+    assert grad.calls == sum(releases) + bool(np.any(due == T))
+    assert grad.calls < rounds_with_releases([schedule], T)  # fewer than one per release round
 
 
 def test_de2mfw_one_lmo_call_per_round(monkeypatch):

@@ -86,8 +86,8 @@ class ReleaseLog:
             self.pushes += 1
             return push(buf, d)
 
-        def counted_release(buf, t):
-            rows = release(buf, t)
+        def counted_release(buf, *rounds):
+            rows = release(buf, *rounds)
             self.released += len(rows)
             return rows
 

@@ -15,7 +15,7 @@ from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
                             distributed_params, run_rounds)
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
-from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream
+from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream, synth_stream
 from delayfw.network import GossipMatrix, metropolis_weights, topology
 
 L1 = ConstraintSet("l1_ball", 1.0, 3)
@@ -368,41 +368,37 @@ def test_first_round_computes_every_step(monkeypatch):
     assert np.array_equal(bits(run.ring[0]), bits(want))
 
 
-def test_quiet_rounds_copy_the_previous_round_without_a_query():
-    # one agent, releases only at rounds 8, 16 and 24 (rounds 25-28 report
-    # after T): round 1 and each round after a release query the bank, and
-    # every other round copies round t-1's ring slot whole
-    T, K = 28, 5
-    delays = [8 * math.ceil(s / 8) - s + 1 for s in range(1, 25)] + [8] * 4
-    schedule = DelaySchedule(delays, dmax=8)
+def late(T, s):
+    """A delay that puts round s's feedback after round T."""
+    return T - s + 2
+
+
+# T = 16, window 3: rounds 1-3 report at rounds 3-5, rounds 4-12 after T and
+# rounds 13-16 at once.  The blocks are rounds 1-3, 4-13, 14, 15 and 16;
+# rounds 4-13 play three states (after the releases of rounds 3, 4 and 5)
+# and are longer than the ring.
+THREE_STATE_BLOCK = (16, 3, 3, [3, 3, 3] + [late(16, s) for s in range(4, 13)] + [1] * 4)
+
+
+def test_one_query_per_block_answers_each_running_sum_once():
+    T, K, window, delays = THREE_STATE_BLOCK
+    schedule = DelaySchedule(delays, dmax=max(delays))
     stream = synth_quadratic_stream(seed=3, T=T, dim=3, scale=0.7)
     params = params_for(K=K, T=T)
-    run = NetworkRun(L1, metropolis_weights(topology("complete", 1)), params, seed=3, window=8)
-    queries, query = [], run.bank.query
-    run.bank.query = lambda: queries.append(1) or query()
-    start, etas = start_of(run), etas_of(params)
-    queried = []
-
-    def observe(t):
-        if len(queries) == len(queried) + 1:
-            queried.append(t)
-        slot = run.ring[t % run.window]
-        subs, ys = gossip_fw_round(start, run.vs, run.gossip.w, etas)
-        assert np.array_equal(bits(slot), bits(subs))
-        assert np.array_equal(bits(run.ys), bits(ys))
-        assert np.shares_memory(run.ys, slot)  # y = x in round t's own slot
-        assert not np.shares_memory(run.ys, run.ring[(t - 1) % run.window])
-
-    decisions = run_rounds(run, stream, [schedule], observe)
-    assert queried == [1, 9, 17, 25]
+    run = NetworkRun(L1, metropolis_weights(topology("complete", 1)), params, seed=3, window=window)
+    answered, query = [], run.bank.query
+    run.bank.query = lambda accum=None: answered.append(1 if accum is None else len(accum)) or query(accum)
+    decisions = run_rounds(run, stream, [schedule])
+    assert answered == [1, 3, 1, 1, 1]  # one query per block, one row per running sum
     want, _ = meta_fw_run(L1, stream, params, 3, schedule)
     assert np.array_equal(bits(decisions[:, 0]), bits(want))
 
 
 @pytest.mark.parametrize("watched", [False, True])
 def test_one_agent_absorbs_only_release_rounds_unless_observed(monkeypatch, watched):
-    # releases only at rounds 8, 16 and 24: an empty release only zeroes the
-    # sums, which just an observer reads, so unobserved runs absorb 3 times
+    # releases only at rounds 8, 16 and 24: unobserved, the bank absorbs those
+    # three rounds' sums, one stack per block, and absorb_round runs only for
+    # the (empty) release at T; an observer sees every round's absorb_round
     T, K = 28, 5
     delays = [8 * math.ceil(s / 8) - s + 1 for s in range(1, 25)] + [8] * 4
     stream = synth_quadratic_stream(seed=3, T=T, dim=3, scale=0.7)
@@ -411,16 +407,14 @@ def test_one_agent_absorbs_only_release_rounds_unless_observed(monkeypatch, watc
     absorbed, absorb = [], NetworkRun.absorb_round
     monkeypatch.setattr(NetworkRun, "absorb_round",
                         lambda r, t, rows, losses: absorbed.append(t) or absorb(r, t, rows, losses))
+    fed, feedback = [], run.bank.feedback
+    run.bank.feedback = lambda g: fed.append(np.shape(g)) or feedback(g)
     zero = []
     observe = (lambda t: zero.append(not run.sums.any())) if watched else None
     run_rounds(run, stream, [DelaySchedule(delays, dmax=8)], observe)
-    assert absorbed == (list(range(1, T + 1)) if watched else [8, 16, 24])
+    assert absorbed == (list(range(1, T + 1)) if watched else [T])
     assert zero == ([t % 8 != 0 or t > 24 for t in range(1, T + 1)] if watched else [])
-
-
-def late(T, s):
-    """A delay that puts round s's feedback after round T."""
-    return T - s + 2
+    assert fed == [(K, 3) if watched else (1, K, 3)] * 3  # the sums of rounds 8, 16 and 24
 
 
 @st.composite
@@ -445,7 +439,7 @@ def one_agent_schedules(draw):
 
 
 def drive_round_by_round(run, stream, schedule):
-    """predict_round/absorb_round for every round, with no quiet stretch."""
+    """predict_round/absorb_round for every round, with no dependency block."""
     table = FeedbackBuffer()
     table.push([schedule.d])
     decisions = np.empty((run.params.T, 1, run.cset.dim))
@@ -456,21 +450,13 @@ def drive_round_by_round(run, stream, schedule):
     return decisions
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=one_agent_schedules())
-# round 2 releases, rounds 3-15 report after T: rounds 4-16 are one stretch, longer than the ring
-@example(case=(20, 3, 2, [2, 1] + [late(20, s) for s in range(3, 16)] + [1] * 5))
-# the last release is at round 5: the stretch after round 6 runs to T
-@example(case=(10, 2, 3, [1, 1, 3] + [late(10, s) for s in range(4, 11)]))
-# nothing is ever released: one query, then rounds 2..T are one stretch
-@example(case=(6, 4, 1, [late(6, s) for s in range(1, 7)]))
-def test_quiet_stretches_equal_a_round_by_round_drive(case):
+def check_blocks(case, cset, stream):
+    """Blocks, unobserved, and an observed run equal a round-by-round drive bit for bit."""
     T, K, window, delays = case
     schedule = DelaySchedule(delays, dmax=max(delays))
-    stream = synth_quadratic_stream(seed=T, T=T, dim=3, scale=0.7)
     params = params_for(K=K, T=T)
     one = metropolis_weights(topology("complete", 1))
-    runs = [NetworkRun(L1, one, params, seed=5, window=window) for _ in range(3)]
+    runs = [NetworkRun(cset, one, params, seed=5, window=window) for _ in range(3)]
     want = drive_round_by_round(runs[0], stream, schedule)
     seen = []
 
@@ -483,9 +469,43 @@ def test_quiet_stretches_equal_a_round_by_round_drive(case):
         decisions = run_rounds(run, stream, [schedule], watch)
         assert np.array_equal(bits(decisions), bits(want))
         assert np.array_equal(bits(run.ring[written]), bits(runs[0].ring[written]))
+        assert np.array_equal(bits(run.bank.accum), bits(runs[0].bank.accum))
+        assert np.array_equal(bits(run.ys), bits(runs[0].ys))
     assert seen == list(range(1, T + 1))
-    ref, _ = meta_fw_run(L1, stream, params, 5, schedule)
+    ref, _ = meta_fw_run(cset, stream, params, 5, schedule)
     assert np.array_equal(bits(want[:, 0]), bits(ref))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=one_agent_schedules())
+# round 2 releases, rounds 3-15 report after T: rounds 3-16 are one block, longer than the ring
+@example(case=(20, 3, 2, [2, 1] + [late(20, s) for s in range(3, 16)] + [1] * 5))
+# the last release is at round 5: the block after it runs to T
+@example(case=(10, 2, 3, [1, 1, 3] + [late(10, s) for s in range(4, 11)]))
+# nothing is ever released: one query, and rounds 1..T are one block
+@example(case=(6, 4, 1, [late(6, s) for s in range(1, 7)]))
+# dmax = 1: every round releases itself, so every block is one round
+@example(case=(7, 3, 1, [1] * 7))
+# a block of three states, longer than the ring
+@example(case=THREE_STATE_BLOCK)
+# rounds 8-10 all report at T = 10, the last round
+@example(case=(10, 2, 4, [1, 4, 1, 1, 1, 1, 1, 3, 2, 1]))
+def test_dependency_blocks_equal_a_round_by_round_drive(case):
+    T = case[0]
+    check_blocks(case, L1, synth_quadratic_stream(seed=T, T=T, dim=3, scale=0.7))
+
+
+@pytest.mark.parametrize("kind, softmax", [("l2_ball", False), ("simplex", False),
+                                           ("hypercube", False), ("l1_ball", True)])
+@settings(max_examples=10, deadline=None)
+@given(case=one_agent_schedules())
+def test_dependency_blocks_hold_on_every_set_and_on_softmax(kind, softmax, case):
+    T = case[0]
+    if softmax:
+        stream = synth_stream(T, T=T, p=2, C=3, batch=2)
+    else:
+        stream = synth_quadratic_stream(seed=T, T=T, dim=3, scale=0.7)
+    check_blocks(case, ConstraintSet(kind, 1.0, stream.dim), stream)
 
 
 class FixedGradients:
@@ -593,6 +613,25 @@ def test_one_agent_absorb_rejects_origins_outside_the_ring():
         with pytest.raises(ValueError):
             run.absorb_round(3, np.array([[0, s] for s in origins]), loss[:len(origins)])
     run.absorb_round(3, np.array([[0, 2], [0, 3]]), loss[:2])
+
+
+def test_predict_block_rejects_rounds_it_cannot_compute():
+    params, none = params_for(K=2, T=8), np.empty((0, 2), dtype=int)
+    loss = QuadraticLoss(np.zeros((2, 1, 3)))
+    two = NetworkRun(L1, metropolis_weights(topology("complete", 2)), params, seed=0, window=2)
+    with pytest.raises(ValueError):  # a block is one agent's
+        two.predict_block(1, none, np.zeros(1, int), None, np.empty((1, 2, 3)))
+    run = NetworkRun(L1, metropolis_weights(topology("complete", 1)), params, seed=0, window=2)
+    for u in (0, 9):  # no rounds, or past T
+        with pytest.raises(ValueError):
+            run.predict_block(u, none, np.zeros(max(u, 1), int), None, np.empty((max(u, 1), 1, 3)))
+    run.predict_block(3, none, np.zeros(3, int), None, np.empty((3, 1, 3)))
+    # rounds 3..4 release: round 1 has left the ring, round 4 is in the block, round 3 releases nothing
+    for origins, sizes in (([1, 3], [1, 1]), ([3, 4], [1, 1]), ([3], [0, 1])):
+        rows = np.array([[0, s] for s in origins])
+        with pytest.raises(ValueError):
+            run.predict_block(5, rows, np.array(sizes), loss[:len(origins)], np.empty((2, 1, 3)))
+    run.predict_block(5, np.array([[0, 2], [0, 3]]), np.array([2, 0]), loss, np.empty((2, 1, 3)))
 
 
 def test_run_deterministic_and_validated():

@@ -89,13 +89,24 @@ def test_release_matches_hand_simulation_random(n, T, dmax, data):
     d = np.array(data.draw(st.lists(st.lists(st.integers(1, dmax), min_size=T, max_size=T),
                                     min_size=n, max_size=n)))
     buf = table_of(*d)
-    seen = []
+    seen, per_round = [], {}
     for t in range(1, T + 1):
-        want = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 == t]
+        want = per_round[t] = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 == t]
         assert released(buf, t) == want
+        assert buf.sizes[t] == len(want)
         seen += want
     due_by_T = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 <= T]
     assert sorted(seen) == due_by_T  # every pair due by T exactly once, none due after
+    assert buf.sizes[0] == 0
+    # a range of rounds is their rows in round order; last = t - 1 is none
+    t, last = sorted(data.draw(st.lists(st.integers(1, T), min_size=2, max_size=2)))
+    assert [tuple(row) for row in buf.release(t, last).tolist()] == [
+        pair for u in range(t, last + 1) for pair in per_round[u]]
+    assert buf.release(t, t - 1).shape == (0, 2)
+    # block_end[p]: the first round after p that releases an origin after p, or T
+    for p in range(T):
+        later = [u for u in range(p + 1, T + 1) if any(s > p for _, s in per_round[u])]
+        assert buf.block_end[p] == (later[0] if later else T)
 
 
 def test_conservation():
@@ -118,6 +129,10 @@ def test_buffer_errors():
         buf.release(0)
     with pytest.raises(ValueError):
         buf.release(3)
+    for t, last in ((1, 3), (2, 0), (3, 2)):  # past T, before t - 1, from past T
+        with pytest.raises(ValueError):
+            buf.release(t, last)
+    assert buf.release(1, 0).shape == (0, 2)
     with pytest.raises(ValueError):
         buf.release(1)[0, 0] = 5  # the table is read-only
 

@@ -343,14 +343,18 @@ def test_consensus_error_path_fixture():
 
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 6), n=st.integers(1, 7), m=st.integers(1, 12), centered=st.booleans(),
-       seed=st.integers(0, 2**31 - 1), strided=st.booleans())
-def test_consensus_error_stack_equals_slice_calls(K, n, m, centered, seed, strided):
+       seed=st.integers(0, 2**31 - 1), strided=st.booleans(), scale=st.integers(-150, 150))
+def test_consensus_error_stack_equals_slice_calls(K, n, m, centered, seed, strided, scale):
     rng = np.random.default_rng(seed)
     # strided: a step-major view of an agent-major array, as the engine hands out
     stack = rng.normal(size=(n, K, m)).swapaxes(0, 1) if strided else rng.normal(size=(K, n, m))
+    stack *= 10.0 ** scale
     center = rng.normal(size=(K, m)) if centered else stack.mean(axis=1)
     errs = consensus_error(stack, center)
     assert errs.shape == (K,)
+    # the max of the row norms, bit for bit
+    want = np.max(np.linalg.norm(stack - center[:, None, :], axis=-1), axis=-1)
+    assert np.array_equal(errs.view(np.uint64), want.view(np.uint64))
     for k in range(K):
         one = consensus_error(stack[k], center[k])  # one (n, m) slice
         assert one.shape == ()

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _fixtures import read_trace_csv, write_schedule_csv
+from _fixtures import read_text, read_trace_csv, write_schedule_csv
 from delayfw import cli, runner
 from delayfw.de2mfw import algorithm_constants
 from delayfw.delay import DelaySchedule
@@ -307,7 +307,7 @@ def test_run_experiment_outputs(tmp_path):
     res = runner.run_experiment(cfg, str(tmp_path / "out"))
     assert sorted(os.listdir(res["out_dir"])) == [
         "summary.csv", "trace_seed0.csv", "trace_seed2.csv"]
-    lines = open(res["summary"]).read().splitlines()
+    lines = read_text(res["summary"]).splitlines()
     assert lines[0] == "seed,total_loss,final_regret,wall_time_s"
     assert len(lines) == 3
     for row, path in zip(res["rows"], res["traces"]):
@@ -350,8 +350,8 @@ def test_reruns_byte_identical(tmp_path):
     cfg = parse(minimal_distributed())
     a = runner.run_experiment(cfg, str(tmp_path / "a"))
     b = runner.run_experiment(cfg, str(tmp_path / "b"))
-    assert open(a["traces"][0]).read() == open(b["traces"][0]).read()
-    strip = lambda p: [",".join(l.split(",")[:3]) for l in open(p).read().splitlines()]
+    assert read_text(a["traces"][0]) == read_text(b["traces"][0])
+    strip = lambda p: [",".join(l.split(",")[:3]) for l in read_text(p).splitlines()]
     assert strip(a["summary"]) == strip(b["summary"])
 
 
@@ -405,12 +405,12 @@ def test_out_dir_resolution(monkeypatch):
 def test_dmax_sweep(tmp_path):
     cfg = parse(minimal_centralized(T=8, seeds=[0, 2]))
     res = runner.run_sweep(cfg, "dmax", [1, 3], str(tmp_path / "sw"))
-    lines = open(res["summary"]).read().splitlines()
+    lines = read_text(res["summary"]).splitlines()
     assert lines[0] == "dmax,mean_total_loss,mean_final_regret"
     assert len(lines) == 3
     assert os.path.exists(tmp_path / "sw" / "dmax1" / "trace_seed0.csv")
     assert os.path.exists(tmp_path / "sw" / "dmax3" / "trace_seed0.csv")
-    runs = [line.split(",") for line in open(res["runs"]).read().splitlines()]
+    runs = [line.split(",") for line in read_text(res["runs"]).splitlines()]
     assert runs[0] == ["dmax", "seed", "total_loss", "final_regret"]
     assert [r[:2] for r in runs[1:]] == [["1", "0"], ["1", "2"], ["3", "0"], ["3", "2"]]
     assert runs[1:] == [[str(d), str(s), f"{tl:.9g}", f"{fr:.9g}"]
@@ -425,12 +425,12 @@ def test_dmax_sweep(tmp_path):
 def test_f_sweep_matrix(tmp_path):
     cfg = parse(minimal_distributed(T=6))
     res = runner.run_sweep(cfg, "f", [0, 2], str(tmp_path / "fsw"))
-    matrix = open(res["summary"]).read().splitlines()
+    matrix = read_text(res["summary"]).splitlines()
     assert matrix[0] == "f,complete,cycle,grid,erdos_renyi"
     assert len(matrix) == 3
     assert matrix[1].startswith("0,")
     assert "%" in matrix[2]
-    runs = open(res["runs"]).read().splitlines()
+    runs = read_text(res["runs"]).splitlines()
     assert runs[0] == "topology,f,seed,total_loss,final_regret"
     assert len(runs) == 1 + 4 * 2  # kinds x values x one seed
     for kind in ("complete", "cycle", "grid", "erdos_renyi"):
