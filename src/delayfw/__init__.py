@@ -8,7 +8,7 @@ streams, network topologies, and trace/metric utilities.
 __version__ = "0.1.0"
 
 from .baselines import dgd_run, dofw_run
-from .de2mfw import AlgoParams, centralized_params, de2mfw_run, delmfw_run, distributed_params
+from .de2mfw import AlgoParams, algorithm_constants, de2mfw_run, delmfw_run, tuned_params
 from .delay import DelaySchedule, gen_delays
 from .geometry import ConstraintSet
 from .losses import LossStream, synth_quadratic_stream, synth_stream
@@ -25,13 +25,12 @@ __all__ = [
     "GossipMatrix",
     "LossStream",
     "RunTrace",
+    "algorithm_constants",
     "attach_regret",
-    "centralized_params",
     "compute_comparator",
     "de2mfw_run",
     "delmfw_run",
     "dgd_run",
-    "distributed_params",
     "dofw_run",
     "gen_delays",
     "metropolis_weights",
@@ -41,4 +40,5 @@ __all__ = [
     "synth_quadratic_stream",
     "synth_stream",
     "topology",
+    "tuned_params",
 ]

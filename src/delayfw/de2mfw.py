@@ -61,18 +61,19 @@ them after each round; the consensus and tracking diagnostics are such an
 observer, two stacked calls per round, and the loop itself has no
 instrumentation.
 
-Default constants follow the sqrt(BT)-regret tuning: K = ceil(sqrt(T)),
-eta_k = min(1, A/k) and zeta = 1/(G*sqrt(B)), with A = max(3, G/(beta*D))
-centrally and A = max(3, 3G/(2*beta*D)) on a network (algorithm_constants;
-the network module says why the rule's third term is dropped).  The
-simulator knows the schedule and can use the true total delay B; a
-dmax*T substitute is available for runs that refuse that foresight.
+Default constants follow the sqrt(BT)-regret tuning (tuned_params, both
+modes): K = ceil(sqrt(T)), eta_k = min(1, A/k), zeta = 1/(G*sqrt(B)), and the
+agent count picks A (algorithm_constants): max(3, G/(beta*D)) for one agent,
+max(3, 3G/(2*beta*D)) on a network (the network module says why the rule's
+third term is dropped).  The simulator knows the schedule and can use the true
+total delay B; a dmax*T substitute is available for runs that refuse that
+foresight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,25 +109,21 @@ class AlgoParams:
         return min(1.0, self.A / k)
 
 
-def centralized_params(T: int, G: float, beta: float, D: float, B_est: float,
-                       K: int | None = None, zeta: float | None = None) -> AlgoParams:
-    """Default single-agent tuning, A = max(3, G/(beta D)); K and zeta can be overridden."""
-    params = distributed_params(T, G, beta, D, B_est, 3.0, K=K, zeta=zeta)
-    return replace(params, A=max(3.0, G / (beta * D)))
-
-
-def algorithm_constants(G: float, beta: float, D: float) -> float:
-    """The network step constant A = max(3, 3G/(2 beta D))."""
+def algorithm_constants(G: float, beta: float, D: float, n: int) -> float:
+    """The step constant A: max(3, G/(beta D)) for n = 1, max(3, 3G/(2 beta D)) for n >= 2."""
     if min(G, beta, D) <= 0:
         raise ValueError("G, beta, D must all be positive")
+    if n == 1:
+        return max(3.0, G / (beta * D))
     return max(3.0, 3.0 * G / (2.0 * beta * D))
 
 
-def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_dist: float,
-                       K: int | None = None, zeta: float | None = None) -> AlgoParams:
-    """Network tuning: A = a_dist (algorithm_constants by default), zeta = 1/(G sqrt B).
+def tuned_params(T: int, G: float, beta: float, D: float, B_est: float, A: float,
+                 K: int | None = None, zeta: float | None = None) -> AlgoParams:
+    """Tuning for both modes: K = ceil(sqrt T) and zeta = 1/(G sqrt B) unless overridden.
 
-    B_est is the across-agent mean of per-agent delay sums.
+    A comes from algorithm_constants; B_est is the across-agent mean of
+    per-agent delay sums.
     """
     if min(G, beta, D, B_est) <= 0:
         raise ValueError("G, beta, D, B_est must all be positive")
@@ -134,7 +131,7 @@ def distributed_params(T: int, G: float, beta: float, D: float, B_est: float, a_
         K = math.ceil(math.sqrt(T))
     if zeta is None:
         zeta = 1.0 / (G * math.sqrt(B_est))
-    return AlgoParams(T=T, K=K, A=a_dist, zeta=zeta, B_est=B_est)
+    return AlgoParams(T=T, K=K, A=A, zeta=zeta, B_est=B_est)
 
 
 class NetworkRun:

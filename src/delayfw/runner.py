@@ -31,8 +31,8 @@ import numpy as np
 
 from . import seeding
 from .baselines import dgd_run, dofw_run
-from .de2mfw import (NetworkRun, algorithm_constants, centralized_params, de2mfw_run,
-                     delmfw_run, distributed_params, run_rounds)
+from .de2mfw import (NetworkRun, algorithm_constants, de2mfw_run, delmfw_run, run_rounds,
+                     tuned_params)
 from .delay import DelaySchedule, gen_delays, schedule_from_csv
 from .geometry import KINDS, ConstraintSet
 from .losses import (
@@ -327,19 +327,20 @@ def run_single(cfg: ExperimentConfig, run_seed: int):
         b_est = float(cfg.T * max(s.dmax for s in schedules))
     else:
         b_est = float(np.mean([s.B for s in schedules]))
-    if cfg.mode == "centralized":
-        params = centralized_params(cfg.T, g, beta, d, b_est, K=cfg.K_override, zeta=cfg.zeta)
-        trace = delmfw_run(cset, stream, schedules[0], params, run_seed)
-    elif cfg.mode == "distributed":
-        params = distributed_params(cfg.T, g, beta, d, b_est, algorithm_constants(g, beta, d),
-                                    K=cfg.K_override, zeta=cfg.zeta)
-        trace = de2mfw_run(cset, stream, schedules, topology(**cfg.topology), params,
-                           run_seed, diagnostics=cfg.diagnostics)
-    elif cfg.mode == "baseline_dofw":
+    if cfg.mode == "baseline_dofw":
         trace = dofw_run(cset, stream, schedules[0], d / (g * math.sqrt(cfg.T)), run_seed)
-    else:
+    elif cfg.mode == "baseline_dgd":
         trace = dgd_run(cset, stream, schedules[0], d / (g * math.sqrt(2.0 * schedules[0].B)),
                         run_seed)
+    else:
+        params = tuned_params(cfg.T, g, beta, d, b_est,
+                              algorithm_constants(g, beta, d, cfg.n_agents),
+                              K=cfg.K_override, zeta=cfg.zeta)
+        if cfg.mode == "centralized":
+            trace = delmfw_run(cset, stream, schedules[0], params, run_seed)
+        else:
+            trace = de2mfw_run(cset, stream, schedules, topology(**cfg.topology), params,
+                               run_seed, diagnostics=cfg.diagnostics)
     comparator = compute_comparator(stream, cset)
     attach_regret(trace, comparator, stream)
     trace.metadata.update({
@@ -479,8 +480,8 @@ def _selftest_network_run() -> dict:
                  for i in range(n)]
     g, beta = estimate_constants(stream, cset)
     d = cset.diameter()
-    params = distributed_params(T, g, beta, d, float(np.mean([s.B for s in schedules])),
-                                algorithm_constants(g, beta, d), K=K)
+    params = tuned_params(T, g, beta, d, float(np.mean([s.B for s in schedules])),
+                          algorithm_constants(g, beta, d, n), K=K)
     run = NetworkRun(cset, gossip, params, seed=0, window=dmax)
     bound = gossip.k0 * math.sqrt(n) * d / np.arange(1, K + 1)  # C_d / k
     etas = np.array([params.eta(k) for k in range(1, K + 1)])

@@ -177,8 +177,9 @@ def golden_softmax_central():
     return with_comparator(trace, stream, cset), stream, schedule
 
 
-# The one golden built from a config: it pins the default K and zeta and
-# de2mfw.algorithm_constants, which every hand-made AlgoParams above bypasses.
+# The one golden built from a config: it pins de2mfw.tuned_params's default K
+# and zeta and the network A of de2mfw.algorithm_constants, which every
+# hand-made AlgoParams above bypasses.
 DE2MFW_CONFIG = {
     "mode": "distributed",
     "T": 8,

@@ -15,7 +15,7 @@ from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw, read_golden
 from _reference import meta_fw_run
 from delayfw import runner, seeding
 from delayfw.baselines import dofw_run
-from delayfw.de2mfw import AlgoParams, centralized_params, de2mfw_run, delmfw_run
+from delayfw.de2mfw import AlgoParams, algorithm_constants, delmfw_run, tuned_params
 from delayfw.delay import DelaySchedule, gen_delays
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import synth_quadratic_stream, synth_stream
@@ -177,20 +177,24 @@ def test_criterion_5_reductions():
     assert np.array_equal(trace.decisions, ref_decisions)
     assert np.array_equal(trace.inst_loss, ref_inst)
 
-    delayed = gen_delays(T, 4, seed=9)
-    central = delmfw_run(cset, stream, delayed, params, seed=5)
-    single = de2mfw_run(cset, stream, [delayed], topology("complete", 1), params,
-                        seed=5, diagnostics=False)
-    assert np.array_equal(single.decisions[:, 0, :], central.decisions)
-    assert np.array_equal(single.inst_loss, central.inst_loss)
-    comp = compute_comparator(stream, cset)
-    attach_regret(central, comp, stream)
-    attach_regret(single, comp, stream)
-    assert np.array_equal(single.regret_prefix, central.regret_prefix)
-    rows = lambda tr: tr.csv_text().splitlines()
-    data = lambda tr: [l for l in rows(tr) if not l.startswith("#")]
+    # A centralized config and its one-node network twin, through run_single: the
+    # agent count picks A, so they run the same algorithm.  G/(beta D) > 2 here,
+    # where the network rule 3G/(2 beta D) alone would give a larger A.
+    base = {"T": 64, "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+            "loss": {"kind": "quadratic"}, "delay": {"dmax": 10}, "seeds": [0]}
+    central = runner.run_single(runner.config_from_dict({"mode": "centralized", **base}), 0)
+    single = runner.run_single(runner.config_from_dict(
+        {"mode": "distributed", "topology": {"kind": "complete", "n": 1},
+         "diagnostics": False, **base}), 0)
+    meta = lambda tr: dict(l[1:].partition("=")[::2] for l in tr.csv_text().splitlines()
+                           if l.startswith("#"))
+    data = lambda tr: [l for l in tr.csv_text().splitlines() if not l.startswith("#")]
+    mc, ms = meta(central), meta(single)
+    assert float(mc["G"]) / (float(mc["beta"]) * float(mc["D"])) > 2.0
+    for key in ("A", "K", "zeta", "B_est", "G", "beta", "D"):
+        assert ms[key] == mc[key], f"{key}: n=1 network {ms[key]} != centralized {mc[key]}"
     assert data(single) == data(central)
-    report(5, "dmax=1 == reference bitwise; n=1 network == centralized bitwise")
+    report(5, "dmax=1 == reference bitwise; n=1 network config == centralized config bitwise")
 
 
 # -- 6. regret scaling in T ----------------------------------------------------------
@@ -208,7 +212,8 @@ def test_criterion_6_regret_scaling():
             from delayfw.losses import estimate_constants
 
             G, beta = estimate_constants(stream, cset)
-            params = centralized_params(T, G, beta, cset.diameter(), float(T))
+            D = cset.diameter()
+            params = tuned_params(T, G, beta, D, float(T), algorithm_constants(G, beta, D, 1))
             trace = delmfw_run(cset, stream, schedule, params, seed=seed)
             comp = compute_comparator(stream, cset)
             attach_regret(trace, comp, stream)
@@ -244,7 +249,9 @@ def test_criterion_7_delay_sensitivity():
         for dmax in dmaxes:
             schedule = gen_delays(T, dmax,
                                   seeding.rng_for(seed, seeding.STREAM_DELAY, 7, dmax))
-            params = centralized_params(T, G, beta, cset.diameter(), float(schedule.B))
+            D = cset.diameter()
+            params = tuned_params(T, G, beta, D, float(schedule.B),
+                                  algorithm_constants(G, beta, D, 1))
             trace = delmfw_run(cset, stream, schedule, params, seed=seed)
             totals[dmax].append(trace.total_loss)
             if dmax == 101:

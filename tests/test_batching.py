@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from _fixtures import bits, feedback_spy, ftpl_noise
 from delayfw import de2mfw, metrics, seeding
-from delayfw.de2mfw import NetworkRun, centralized_params, de2mfw_run, delmfw_run, distributed_params
+from delayfw.de2mfw import NetworkRun, algorithm_constants, de2mfw_run, delmfw_run, tuned_params
 from delayfw.delay import gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, SoftmaxLoss, estimate_constants, synth_quadratic_stream, \
@@ -130,7 +130,7 @@ def test_average_value_on_agent_stack():
 def test_bank_noise_rows_follow_oracle_streams(n, K, dim, more, seed):
     # seeds from 2**32 on are two or more entropy words of the SeedSequence
     cset = ConstraintSet("l1_ball", 1.0, dim)
-    params = distributed_params(T=4, G=1.0, beta=1.0, D=2.0, B_est=4.0, a_dist=3.0, K=K)
+    params = tuned_params(T=4, G=1.0, beta=1.0, D=2.0, B_est=4.0, A=3.0, K=K)
 
     def bank_noise(agents):
         gossip = metropolis_weights(topology("cycle", agents))
@@ -258,7 +258,8 @@ def test_delmfw_one_lmo_call_per_block(monkeypatch):
     stream = synth_quadratic_stream(seed=3, T=T, dim=dim)
     schedule = gen_delays(T, 9, seed=4)
     G, beta = estimate_constants(stream, cset)
-    params = centralized_params(T, G, beta, cset.diameter(), schedule.B)
+    D = cset.diameter()
+    params = tuned_params(T, G, beta, D, schedule.B, algorithm_constants(G, beta, D, 1))
     rows, lmo_batch = [], ConstraintSet.lmo_batch
     monkeypatch.setattr(ConstraintSet, "lmo_batch", lambda c, z: rows.append(len(z)) or lmo_batch(c, z))
     query = Counter(monkeypatch, FtplOracle, "query")
@@ -283,7 +284,7 @@ def test_de2mfw_one_lmo_call_per_round(monkeypatch):
     topo = topology("cycle", n)
     stream = synth_quadratic_stream(seed=3, T=T, dim=dim, n_agents=n)
     schedules = [gen_delays(T, 4, seed=10 + i) for i in range(n)]
-    params = distributed_params(T, 1.0, 1.0, 2.0, 8.0, a_dist=3.0, K=4)
+    params = tuned_params(T, 1.0, 1.0, 2.0, 8.0, A=3.0, K=4)
     lmo = Counter(monkeypatch, ConstraintSet, "lmo_batch")
     query = Counter(monkeypatch, FtplOracle, "query")
     grad = Counter(monkeypatch, QuadraticLoss, "grad")
@@ -301,7 +302,7 @@ def test_diagnostics_cost_consensus_calls_only_when_on(monkeypatch, diagnostics)
     topo = topology("grid", n)
     stream = synth_quadratic_stream(seed=5, T=T, dim=3, n_agents=n)
     schedules = [gen_delays(T, 3, seed=20 + i) for i in range(n)]
-    params = distributed_params(T, 1.0, 1.0, 2.0, 8.0, a_dist=3.0, K=K)
+    params = tuned_params(T, 1.0, 1.0, 2.0, 8.0, A=3.0, K=K)
     consensus = Counter(monkeypatch, de2mfw, "consensus_error")
     trace = de2mfw_run(cset, stream, schedules, topo, params, seed=0, diagnostics=diagnostics)
     # one stacked consensus and one tracking call per round, or none at all

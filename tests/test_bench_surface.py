@@ -105,7 +105,7 @@ def test_both_engines_push_the_table_and_release_every_due_pair(monkeypatch):
     # sums len(release(t)): the number of released (agent, origin) pairs
     T, n = 16, 3
     cset = geometry.ConstraintSet("l1_ball", 1.0, 3)
-    params = de2mfw.distributed_params(T, 1.0, 1.0, 2.0, 8.0, a_dist=3.0, K=2)
+    params = de2mfw.tuned_params(T, 1.0, 1.0, 2.0, 8.0, A=3.0, K=2)
     schedules = [delay.gen_delays(T, 5, seed=i) for i in range(n)]
     log = ReleaseLog(monkeypatch)
     stream = losses.synth_quadratic_stream(0, T, 3)

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from _fixtures import bits, feedback_spy, round_recorder
 from _reference import gossip_fw_round, meta_fw_run
 from delayfw import runner
-from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run,
-                            distributed_params, run_rounds)
+from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run, run_rounds,
+                            tuned_params)
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream, synth_stream
@@ -34,8 +34,8 @@ def network_setup(n, T, dmax, seed, kind="cycle", dim=3, K=None):
     G, beta = estimate_constants(stream, cset)
     b_est = float(np.mean([s.B for s in schedules]))
     # a fixed A: these tests pin the engine's arithmetic, not the tuning
-    params = distributed_params(T, G, beta, cset.diameter(), b_est, a_dist=3.0,
-                                K=K or math.ceil(math.sqrt(T)))
+    params = tuned_params(T, G, beta, cset.diameter(), b_est, A=3.0,
+                          K=K or math.ceil(math.sqrt(T)))
     run = NetworkRun(cset, gossip, params, seed, dmax)
     return cset, topo, gossip, stream, schedules, params, run
 
@@ -45,12 +45,12 @@ def drive(run, stream, schedules, T, observe=None):
     return run_rounds(run, stream, schedules, observe)
 
 
-def test_distributed_params():
-    p = distributed_params(T=100, G=2.0, beta=1.0, D=2.0, B_est=9.0, a_dist=7.5)
+def test_tuned_params():
+    p = tuned_params(T=100, G=2.0, beta=1.0, D=2.0, B_est=9.0, A=7.5)
     assert p.K == 10 and p.A == 7.5
     assert p.zeta == pytest.approx(1.0 / (2.0 * 3.0))
     with pytest.raises(ValueError):
-        distributed_params(T=100, G=0.0, beta=1.0, D=2.0, B_est=9.0, a_dist=3.0)
+        tuned_params(T=100, G=0.0, beta=1.0, D=2.0, B_est=9.0, A=3.0)
 
 
 def test_default_tuning_regret_is_sublinear_on_a_cycle():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from delayfw.de2mfw import AlgoParams, NetworkRun, centralized_params, delmfw_run
+from delayfw.de2mfw import AlgoParams, NetworkRun, algorithm_constants, delmfw_run, tuned_params
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays
 from delayfw.geometry import ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, estimate_constants, synth_quadratic_stream
@@ -24,16 +24,21 @@ def quad_stream(thetas):
 # -- parameters ---------------------------------------------------------------
 
 
+def one_agent_params(T, G, beta, D, B_est, K=None, zeta=None):
+    """The tuning run_single gives a centralized run."""
+    return tuned_params(T, G, beta, D, B_est, algorithm_constants(G, beta, D, 1), K=K, zeta=zeta)
+
+
 def test_default_params():
-    p = centralized_params(T=100, G=1.0, beta=1.0, D=2.0, B_est=7.0)
+    p = one_agent_params(T=100, G=1.0, beta=1.0, D=2.0, B_est=7.0)
     assert p.K == 10
     assert p.A == 3.0  # G/(beta*D) = 0.5 < 3
     assert p.zeta == pytest.approx(1.0 / math.sqrt(7.0))
-    assert centralized_params(T=10, G=1.0, beta=1.0, D=2.0, B_est=4.0).K == 4  # ceil
+    assert one_agent_params(T=10, G=1.0, beta=1.0, D=2.0, B_est=4.0).K == 4  # ceil
 
 
 def test_param_overrides_and_validation():
-    p = centralized_params(T=100, G=8.0, beta=1.0, D=2.0, B_est=7.0, K=3, zeta=0.1)
+    p = one_agent_params(T=100, G=8.0, beta=1.0, D=2.0, B_est=7.0, K=3, zeta=0.1)
     assert (p.K, p.A, p.zeta) == (3, 4.0, 0.1)  # A = max(3, G/(beta D)) is not overridable
     with pytest.raises(ValueError):
         AlgoParams(T=10, K=0, A=3.0, zeta=0.1, B_est=1.0)
@@ -42,7 +47,9 @@ def test_param_overrides_and_validation():
     with pytest.raises(ValueError):
         AlgoParams(T=10, K=2, A=3.0, zeta=0.0, B_est=1.0)
     with pytest.raises(ValueError):
-        centralized_params(T=10, G=0.0, beta=1.0, D=1.0, B_est=1.0)
+        one_agent_params(T=10, G=0.0, beta=1.0, D=1.0, B_est=1.0)
+    with pytest.raises(ValueError):
+        tuned_params(T=10, G=1.0, beta=1.0, D=1.0, B_est=0.0, A=3.0)
 
 
 def test_eta_schedule():
@@ -223,7 +230,7 @@ def run_setup(T, dmax, seed, dim=3, scale=0.8):
     stream = synth_quadratic_stream(seed=seed + 1000, T=T, dim=dim, scale=scale)
     schedule = gen_delays(T, dmax, seed=seed + 2000)
     G, beta = estimate_constants(stream, cset)
-    params = centralized_params(T, G, beta, cset.diameter(), B_est=schedule.B)
+    params = one_agent_params(T, G, beta, cset.diameter(), B_est=schedule.B)
     return cset, stream, schedule, params
 
 

@@ -1,5 +1,5 @@
 """Topology and gossip-matrix tests with hand-computed spectral fixtures, and
-the closed-form network step constant A."""
+the closed-form step constant A."""
 
 import numpy as np
 import pytest
@@ -180,21 +180,25 @@ def test_topology_validation():
         topology("erdos_renyi", 5, p=0.0)
 
 
-# -- the network step constant A ------------------------------------------------
+# -- the step constant A ---------------------------------------------------------
 
 POSITIVE = st.floats(min_value=1e-100, max_value=1e100)
 
 
 @settings(max_examples=200, deadline=None)
-@given(G=POSITIVE, beta=POSITIVE, D=POSITIVE)
-def test_constants_are_the_closed_form(G, beta, D):
-    a = algorithm_constants(G, beta, D)
-    assert type(a) is float
-    assert a.hex() == max(3.0, 3.0 * G / (2.0 * beta * D)).hex()
-    assert a >= 3.0
+@given(G=POSITIVE, beta=POSITIVE, D=POSITIVE, n=st.sampled_from([2, 9, 64]))
+def test_constants_are_the_closed_form(G, beta, D, n):
+    """One agent gets max(3, G/(beta D)), a network max(3, 3G/(2 beta D)), bit for bit."""
+    central = algorithm_constants(G, beta, D, 1)
+    network = algorithm_constants(G, beta, D, n)
+    assert type(central) is float and type(network) is float
+    assert central.hex() == max(3.0, G / (beta * D)).hex()
+    assert network.hex() == max(3.0, 3.0 * G / (2.0 * beta * D)).hex()
+    assert central >= 3.0 and network >= 3.0
 
 
 def test_constants_validation():
     for args in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
-        with pytest.raises(ValueError):
-            algorithm_constants(*args)
+        for n in (1, 2):
+            with pytest.raises(ValueError):
+                algorithm_constants(*args, n)

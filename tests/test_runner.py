@@ -340,7 +340,8 @@ def test_shipped_configs_run_without_warnings(path):
 def test_distributed_trace_records_the_network_a(tmp_path, constants):
     res = runner.run_experiment(parse(minimal_distributed(constants=constants)), str(tmp_path))
     meta, _ = read_trace_csv(res["traces"][0])
-    a = algorithm_constants(float(meta["G"]), float(meta["beta"]), float(meta["D"]))
+    a = algorithm_constants(float(meta["G"]), float(meta["beta"]), float(meta["D"]),
+                            int(meta["n"]))
     assert meta["A"] == repr(float(a))
     if constants:
         assert meta["A"] == "15.0"  # 3G/(2 beta D)
