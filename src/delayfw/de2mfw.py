@@ -32,10 +32,12 @@ d^i_{t,k} to their oracles (the neighbor information is real).
 All agents advance in lockstep; the single-threaded execution order here
 is the reference semantics for any parallel driver.
 
-The n*K oracles sit in one bank, row i*K + k - 1 for oracle k of agent i,
-whose noise rows seeding.oracle_noise draws from one Generator, and answer a
-round's queries with one batched LMO call: the oracles never see the
-iterates.  The round's released (agent, origin) pairs come from a release
+The n*K oracles sit in one bank, row (k-1)*n + i for oracle k of agent i,
+and answer a round's queries with one batched LMO call: the oracles never
+see the iterates.  seeding.oracle_noise draws their noise agent-major from
+one Generator and the bank stores it step-major (the orders coincide at
+n = 1), so a round's outputs, its reuse check and its feedback are
+contiguous (K, n, m) arrays.  The round's released (agent, origin) pairs come from a release
 table computed once from the schedules, and one gathered gradient call
 covers every released loss at all K sub-iterates.  Each agent's gradients
 are added into its sums in origin order, one vectorized add per rank (the
@@ -58,8 +60,8 @@ one LMO call and one K-step loop for all its states (predict_block).
 A run keeps its latest round's arrays (x, v, y, S, d) until the next round
 replaces them.  The round loop's one optional observe(t) callback reads
 them after each round; the consensus and tracking diagnostics are such an
-observer, two stacked calls per round, and the loop itself has no
-instrumentation.
+observer, two agent means and two stacked consensus_error calls per round,
+and the loop itself has no instrumentation.
 
 Default constants follow the sqrt(BT)-regret tuning (tuned_params, both
 modes): K = ceil(sqrt(T)), eta_k = min(1, A/k), zeta = 1/(G*sqrt(B)), and the
@@ -81,7 +83,7 @@ from . import seeding
 from .delay import DelaySchedule, FeedbackBuffer
 from .geometry import ConstraintSet
 from .losses import LossStream
-from .metrics import RunTrace, consensus_error, per_agent_global_losses
+from .metrics import RunTrace, agent_mean, consensus_error, per_agent_global_losses
 from .network import GossipMatrix, Topology, metropolis_weights, topology
 from .oracle import FtplOracle
 
@@ -152,8 +154,10 @@ class NetworkRun:
         self.gossip = gossip
         self.params = params
         self.n = n = gossip.n
-        K = params.K
-        self.bank = FtplOracle(cset, params.zeta, seeding.oracle_noise(seed, n, K, cset.dim))
+        K, m = params.K, cset.dim
+        # drawn agent-major, stored step-major: row (k-1)*n + i is oracle k of agent i
+        noise = seeding.oracle_noise(seed, n, K, m).reshape(n, K, m).swapaxes(0, 1)
+        self.bank = FtplOracle(cset, params.zeta, noise.reshape(K * n, m))
         self.window = window
         self.ring = np.empty((window, K + 1, n, cset.dim))  # slot s % window: x^i_{s,k}
         self._start = np.tile(cset.lmo(np.zeros(cset.dim)), (n, 1))
@@ -178,19 +182,19 @@ class NetworkRun:
         self._predicted = t
         K, n, m = self.params.K, self.n, self.cset.dim
         subs = self.ring[t % self.window]  # x^i_{t,k}, written in place step by step
-        vs = self.bank.query().reshape(n, K, m)
+        vs = self.bank.query().reshape(K, n, m)
         subs[0] = self._start
         ys = self._mixed if n > 1 else subs[:K]  # W = [1] mixes exactly: y = x
-        same = (vs.view(np.uint64) == self.vs.swapaxes(0, 1).view(np.uint64)).all(axis=(0, 2))
-        j = int(same.argmin()) or K * bool(same[0])  # steps 1..j repeat round t-1 exactly
+        differs = (vs.view(np.uint64) != self.vs.view(np.uint64)).reshape(-1)
+        first = differs.argmax()  # the first differing entry, step-major
+        j = first // (n * m) if differs[first] else K  # steps 1..j repeat round t-1 exactly
         subs[1:j + 1] = self.ring[(t - 1) % self.window, 1:j + 1]  # same slot at window 1
-        if j < K:
-            steps = vs.swapaxes(0, 1) * self._etas[:, None, None]  # eta_k v^i_{t,k}
+        steps = vs[j:] * self._etas[j:, None, None]  # eta_k v^i_{t,k} for the steps rerun
         for k in range(j, K):
             if n > 1:
                 self.gossip.mix(subs[k], out=ys[k])
-            np.add(self._keep[k] * ys[k], steps[k], out=subs[k + 1])
-        self.vs, self.ys = vs.swapaxes(0, 1), ys
+            np.add(self._keep[k] * ys[k], steps[k - j], out=subs[k + 1])
+        self.vs, self.ys = vs, ys
         return subs[K].copy()
 
     def predict_block(self, u: int, rows, sizes, losses, out) -> None:
@@ -223,9 +227,9 @@ class NetworkRun:
         xs = self.ring[(p + 1) % w] if one else np.empty((K + 1, len(vs), m))  # step-major
         xs[0] = self._start
         xs[1:j + 1] = self.ring[p % w, 1:j + 1]
-        steps = np.multiply(vs.swapaxes(0, 1), self._etas[:, None, None], order="C")
+        steps = np.multiply(vs.swapaxes(0, 1)[j:], self._etas[j:, None, None], order="C")
         for k in range(j, K):
-            np.add(self._keep[k] * xs[k], steps[k], out=xs[k + 1])
+            np.add(self._keep[k] * xs[k], steps[k - j], out=xs[k + 1])
         state = released.cumsum() - released[0]  # round p+1+i plays state[i]
         xs[K].take(state, axis=0, out=out[:, 0], mode="clip")
         first = max(p + 1 + one, u - w + 1)  # earlier rounds are written, or overwritten later
@@ -257,11 +261,15 @@ class NetworkRun:
                 raise ValueError(f"round {t} releases origins outside {lo}..{hi}")
             g = losses.grad(self.ring[origins % self.window, :K, agents])  # (r, K, m)
             if n > 1:  # each agent's terms in origin order
-                starts = agents.searchsorted(np.arange(n))  # each agent's first row
-                counts = agents.searchsorted(np.arange(n), "right") - starts
+                bounds = agents.searchsorted(np.arange(n + 1))  # each agent's first row
+                starts, counts = bounds[:-1], np.diff(bounds)
+                every = counts.min()  # the ranks every agent has: one whole-array add each
                 for j in range(counts.max()):  # every agent's j-th row at once: distinct agents
-                    who = (counts > j).nonzero()[0]
-                    sums[:, who] += g[starts[who] + j].swapaxes(0, 1)
+                    if j < every:
+                        sums += g[starts + j].swapaxes(0, 1)
+                    else:
+                        who = (counts > j).nonzero()[0]
+                        sums[:, who] += g[starts[who] + j].swapaxes(0, 1)
             else:  # the same adds, row by row into the zero seed
                 for row in g[:, :, None]:
                     sums += row
@@ -276,7 +284,7 @@ class NetworkRun:
                 G += sums[k]
                 self.gossip.mix(G, out=ds[k])
         if n > 1 or len(rows):
-            self.bank.feedback(ds.swapaxes(0, 1).reshape(n * K, m))
+            self.bank.feedback(ds.reshape(K * n, m))
         self.sums, self.ds = sums, ds
 
 
@@ -377,8 +385,8 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
 
         def observe(t):  # max_i ||y^i_{t,k} - xbar_{t,k}|| and max_i ||d^i_{t,k} - Sbar_k||
             xs = run.ring[t % run.window, :-1]  # x^i_{t,k}, the iterates each mix averages
-            consensus[t - 1] = consensus_error(run.ys, xs.mean(axis=1))
-            tracking[t - 1] = consensus_error(run.ds, run.sums.mean(axis=1))
+            consensus[t - 1] = consensus_error(run.ys, agent_mean(xs))
+            tracking[t - 1] = consensus_error(run.ds, agent_mean(run.sums))
     decisions = run_rounds(run, stream, schedules, observe)
     per_agent = per_agent_global_losses(stream, decisions)
     metadata = _base_metadata("de2mfw", cset, stream, params, seed)

@@ -163,7 +163,8 @@ def _class_sum(rows: np.ndarray) -> np.ndarray:
 
     numpy adds fewer than 8 terms one by one, 8 to 128 terms in eight
     interleaved accumulators that are then combined pairwise, and more terms
-    by halving at a multiple of 8.
+    by halving at a multiple of 8.  Below 16 terms the first eight rows are
+    the accumulators themselves, so no reduce copies them.
     """
     n = len(rows)
     if n < 8:
@@ -171,10 +172,13 @@ def _class_sum(rows: np.ndarray) -> np.ndarray:
     if n <= 128:
         head = n - n % 8
         # accumulator j adds rows j, j+8, j+16, ... in order
-        acc = np.add.reduce(rows[:head].reshape((-1, 8) + rows.shape[1:]), axis=0)
+        acc = rows[:8] if head == 8 else np.add.reduce(
+            rows[:head].reshape((-1, 8) + rows.shape[1:]), axis=0)
         acc = acc[0::2] + acc[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
         acc = acc[0::2] + acc[1::2]
         total = acc[0] + acc[1]
+        if head == 8:  # the reduce's 0.0 identity: a sum of -0.0 rows is +0.0
+            total += 0.0
         for row in rows[head:]:
             total += row
         return total

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConstraintSet
-from .losses import LossStream, _class_sum
+from .losses import LossStream, _class_major, _class_sum
 
 
 _BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses block
@@ -231,6 +231,28 @@ def consensus_error(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
     """max_i ||vectors[..., i, :] - center|| of an (..., n, m) stack and (..., m) centers.
 
     A (K, n, m) stack gives the (K,) array of its per-slice values, bit for bit as norms.
+    With at least as many agents as coordinates the squared distances are summed
+    coordinate-major: an (m, ..., n) array whose m rows _class_sum adds in
+    sum(axis=-1) order, so numpy's loops run along the agents.
     """
-    d = vectors - center[..., None, :]
-    return np.sqrt(np.max(np.add.reduce(d * d, axis=-1), axis=-1))
+    n, m = vectors.shape[-2:]
+    if n >= m:
+        d = np.subtract(vectors.transpose(_class_major(vectors.ndim)),
+                        center.transpose(_class_major(center.ndim))[..., None], order="C")
+        d *= d
+        sq = _class_sum(d)
+    else:
+        d = vectors - center[..., None, :]
+        sq = np.add.reduce(d * d, axis=-1)
+    return np.sqrt(np.maximum.reduce(sq, axis=-1))
+
+
+def agent_mean(stack: np.ndarray) -> np.ndarray:
+    """stack.mean(axis=1) of a (K, n, m) stack, bit for bit.
+
+    numpy adds the agents one by one when m > 1, as a leading-axis reduce of
+    an agent-major copy does, but pairwise along one coordinate's agents.
+    """
+    if stack.shape[-1] == 1:
+        return stack.mean(axis=1)
+    return np.add.reduce(stack.transpose(1, 0, 2).copy(), axis=0) / stack.shape[1]

@@ -30,5 +30,7 @@ def oracle_noise(seed: int, n: int, K: int, m: int) -> np.ndarray:
 
     The rows are drawn in order from one stream, so agent i's K rows do not
     depend on n: a bank is a prefix of any larger bank with the same K and m.
+    This is the draw order, agent-major; de2mfw.NetworkRun stores the rows
+    step-major, oracle k of agent i in row (k-1)*n + i.
     """
     return rng_for(seed, STREAM_ORACLE).uniform(size=(n * K, m))

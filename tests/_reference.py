@@ -11,7 +11,9 @@ is the comparator loop that evaluates the summed loss's value and its
 gradient in separate calls, four per iteration at two distinct points;
 the fused comparator must match it bit for bit.  l1_lmo_by_sign picks the
 l1-ball vertex by sign, zero mask and multiply; the batched LMO's one
-np.where must match it bit for bit.
+np.where must match it bit for bit.  consensus_error_trailing sums squared
+distances along the trailing coordinate axis; the coordinate-major
+consensus_error must match it bit for bit.
 """
 
 import math
@@ -81,6 +83,12 @@ def gossip_fw_round(start, vs, w, etas):
         subs.append(x)
         ys.append(y)
     return np.array(subs), np.array(ys)
+
+
+def consensus_error_trailing(vectors, center):
+    """max_i ||vectors[..., i, :] - center|| with the squares summed along the trailing axis."""
+    d = vectors - center[..., None, :]
+    return np.sqrt(np.max(np.add.reduce(d * d, axis=-1), axis=-1))
 
 
 def l1_lmo_by_sign(z, radius):

@@ -139,12 +139,17 @@ def test_bank_noise_rows_follow_oracle_streams(n, K, dim, more, seed):
     def draw(rows):
         return seeding.rng_for(seed, seeding.STREAM_ORACLE).uniform(size=(rows, dim))
 
+    # draw row i*K + k - 1 is oracle k of agent i; the bank keeps it in row (k-1)*agents + i
+    agent, step = np.divmod(np.arange(n * K), K)
+    draws = draw(n * K)
     noise = bank_noise(n)
     assert noise.shape == (n * K, dim)
-    np.testing.assert_array_equal(bits(noise), bits(draw(n * K)))
+    np.testing.assert_array_equal(bits(noise[step * n + agent]), bits(draws))
     one = seeding.oracle_noise(seed, 1, 1, dim)  # n*K = 1
     np.testing.assert_array_equal(bits(one), bits(draw(1)))
-    np.testing.assert_array_equal(bits(bank_noise(n + more)[:n * K]), bits(noise))
+    np.testing.assert_array_equal(bits(seeding.oracle_noise(seed, n, K, dim)), bits(draws))
+    np.testing.assert_array_equal(bits(bank_noise(n + more)[step * (n + more) + agent]),
+                                  bits(draws))
 
 
 @PROPERTY

@@ -136,11 +136,11 @@ def test_symmetry_on_complete_graph():
     params = params_for(K=3, T=5)
     gossip = metropolis_weights(topology("complete", 4))
     run = NetworkRun(L1, gossip, params, seed=0, window=1)
-    noise = run.bank.noise.reshape(4, 3, 3)  # (agent, k, m) view of the bank rows
+    noise = run.bank.noise.reshape(3, 4, 3)  # (k, agent, m) view of the step-major bank rows
     for k in range(3):
-        shared = noise[0, k]
+        shared = noise[k, 0]
         for i in range(1, 4):
-            noise[i, k] = shared.copy()
+            noise[k, i] = shared.copy()
     losses = QuadraticLoss(np.tile([0.4, -0.1, 0.2], (4, 1, 1)))  # (4, 1) stack
     for t in range(1, 6):
         X = run.predict_round(t)
@@ -235,7 +235,7 @@ def test_all_empty_round_is_zero_feedback(monkeypatch):
     assert absorbed == [run.bank]  # zero vectors were fed
     for i in range(3):
         for k in range(2):
-            r = i * 2 + k  # bank row of agent i's oracle k+1
+            r = k * 3 + i  # bank row of agent i's oracle k+1
             np.testing.assert_array_equal(run.bank.accum[r], before[r])
             np.testing.assert_array_equal(q_after[r], q_before[r])
 
@@ -280,7 +280,7 @@ def count_mixes(monkeypatch):
 
 
 def scripted_run(n, K, window, outputs):
-    """A complete-graph run whose bank answers round t with outputs[t-1], (n*K, m) each."""
+    """A complete-graph run whose bank answers round t with outputs[t-1], (K*n, m) step-major."""
     gossip = metropolis_weights(topology("complete", n))
     run = NetworkRun(L1, gossip, params_for(K=K, T=len(outputs)), seed=0, window=window)
     run.bank.query = iter(outputs).__next__
@@ -340,7 +340,7 @@ def test_sign_of_zero_ends_the_repeated_prefix(monkeypatch, j):
     K, n = 4, 2
     first = L1.lmo_batch(np.random.default_rng(j).uniform(-1.0, 1.0, (n * K, 3)))
     second = first.copy()
-    row = K + j  # agent 1's oracle j + 1
+    row = j * n + 1  # agent 1's oracle j + 1: the bank rows are step-major
     second[row, np.flatnonzero(second[row] == 0.0)[0]] = -0.0  # equal under ==
     assert np.array_equal(first, second)
     run = scripted_run(n, K, 2, [first, second])
@@ -348,8 +348,8 @@ def test_sign_of_zero_ends_the_repeated_prefix(monkeypatch, j):
     run.predict_round(1)
     run.predict_round(2)
     assert len(calls) == K + (K - j)
-    want, _ = gossip_fw_round(start_of(run), second.reshape(n, K, 3).swapaxes(0, 1),
-                              run.gossip.w, etas_of(run.params))
+    want, _ = gossip_fw_round(start_of(run), second.reshape(K, n, 3), run.gossip.w,
+                              etas_of(run.params))
     assert np.array_equal(bits(run.ring[0]), bits(want))
 
 

@@ -15,6 +15,7 @@ from delayfw.losses import (
     LossStream,
     QuadraticLoss,
     SoftmaxLoss,
+    _class_sum,
     csv_ingest,
     estimate_constants,
     synth_quadratic_stream,
@@ -275,6 +276,23 @@ def test_value_grad_is_value_and_grad_bitwise(C, p, N, point, zero_rows, seed):
     value, grad = loss.value_grad(x)
     assert same_bits(value, loss.value(x))
     assert same_bits(grad, loss.grad(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=st.one_of(st.integers(8, 15), st.sampled_from([1, 7, 16, 127, 128, 129, 300]),
+                   st.integers(1, 300)),
+       shape=st.sampled_from([(), (1,), (3,), (2, 5), (4, 1)]),
+       zeros=st.floats(0.0, 1.0), negative_column=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_class_sum_is_the_trailing_axis_sum_bitwise(C, shape, zeros, negative_column, seed):
+    # a contiguous trailing axis is what sum(axis=-1) adds pairwise
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(C,) + shape) * 10.0 ** rng.integers(-20, 20, size=(C,) + shape)
+    rows[rng.random(rows.shape) < zeros] = 0.0
+    rows[rng.random(rows.shape) < 0.5 * zeros] = -0.0
+    if negative_column and rows.ndim > 1:
+        rows[:, 0] = -0.0  # every term -0.0: the 0.0 identity makes the sum +0.0
+    want = np.add.reduce(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1)
+    assert same_bits(_class_sum(rows), want)
 
 
 def test_value_grad_takes_one_point_on_one_batch():

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import read_trace_csv
-from _reference import comparator_four_calls
+from _reference import comparator_four_calls, consensus_error_trailing
 from delayfw import runner
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, synth_quadratic_stream, synth_stream
 from delayfw.metrics import (
     Comparator,
     RunTrace,
+    agent_mean,
     attach_regret,
     compute_comparator,
     consensus_error,
@@ -346,7 +347,7 @@ def test_consensus_error_path_fixture():
        seed=st.integers(0, 2**31 - 1), strided=st.booleans(), scale=st.integers(-150, 150))
 def test_consensus_error_stack_equals_slice_calls(K, n, m, centered, seed, strided, scale):
     rng = np.random.default_rng(seed)
-    # strided: a step-major view of an agent-major array, as the engine hands out
+    # strided: a step-major view of an agent-major array
     stack = rng.normal(size=(n, K, m)).swapaxes(0, 1) if strided else rng.normal(size=(K, n, m))
     stack *= 10.0 ** scale
     center = rng.normal(size=(K, m)) if centered else stack.mean(axis=1)
@@ -359,3 +360,33 @@ def test_consensus_error_stack_equals_slice_calls(K, n, m, centered, seed, strid
         one = consensus_error(stack[k], center[k])  # one (n, m) slice
         assert one.shape == ()
         assert errs[k] == one
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=st.integers(1, 12), n=st.integers(1, 80), m=st.integers(1, 40), flat=st.booleans(),
+       strided=st.booleans(), zeros=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_consensus_error_is_the_trailing_axis_formula(K, n, m, flat, strided, zeros, seed):
+    # n >= m sums coordinate-major, n < m along the trailing axis: both give its bits
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(n, K, m)).swapaxes(0, 1) if strided else rng.normal(size=(K, n, m))
+    stack *= 10.0 ** rng.integers(-8, 8, size=(K, 1, m))
+    if zeros:
+        stack[rng.random(stack.shape) < 0.5] = -0.0
+    center = agent_mean(stack)
+    if flat:
+        stack, center = stack[0], center[0]
+    got, want = consensus_error(stack, center), consensus_error_trailing(stack, center)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=st.integers(1, 12), n=st.integers(1, 130), m=st.integers(1, 12),
+       zeros=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_agent_mean_is_mean_over_agents_bitwise(K, n, m, zeros, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(K, n, m)) * 10.0 ** rng.integers(-12, 12, size=(K, n, m))
+    if zeros:
+        stack[rng.random(stack.shape) < 0.5] = -0.0
+    got = agent_mean(stack)
+    assert np.array_equal(got.view(np.uint64), stack.mean(axis=1).view(np.uint64))
