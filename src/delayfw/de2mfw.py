@@ -38,11 +38,12 @@ see the iterates.  seeding.oracle_noise draws their noise agent-major from
 one Generator and the bank stores it step-major (the orders coincide at
 n = 1), so a round's outputs, its reuse check and its feedback are
 contiguous (K, n, m) arrays.  The round's released (agent, origin) pairs come from a release
-table computed once from the schedules, and one gathered gradient call
-covers every released loss at all K sub-iterates.  Each agent's gradients
-are added into its sums in origin order, one vectorized add per rank (the
-j-th released row of every agent that has one), and the tracking
-recursion writes each step's d into one step-major buffer.
+table computed once from the schedules, rank-major: rank j holds the j-th
+release of every agent that has one, agents ascending.  One gathered
+gradient call covers every released loss at all K sub-iterates, and each
+rank is one add of a contiguous slice of those gradients into the sums, so
+each agent's gradients are added in origin order.  The tracking recursion
+writes each step's d into one step-major buffer.
 
 With zeta = 1/(G sqrt B) the oracle outputs often repeat from round to
 round, so a round reuses the longest prefix of steps whose outputs equal
@@ -61,7 +62,9 @@ A run keeps its latest round's arrays (x, v, y, S, d) until the next round
 replaces them.  The round loop's one optional observe(t) callback reads
 them after each round; the consensus and tracking diagnostics are such an
 observer, two agent means and two stacked consensus_error calls per round,
-and the loop itself has no instrumentation.
+and the loop itself has no instrumentation.  The consensus rows of the
+steps a round reused equal the previous round's, so the observer copies
+them and computes only the rest.
 
 Default constants follow the sqrt(BT)-regret tuning (tuned_params, both
 modes): K = ceil(sqrt(T)), eta_k = min(1, A/k), zeta = 1/(G*sqrt(B)), and the
@@ -144,8 +147,10 @@ class NetworkRun:
     agent's largest delay.  The latest round's other arrays are step-major
     (K, n, m) arrays or views, never copies, valid until the next round:
     vs and ys (oracle outputs v, mixed iterates y) from predict_round, sums
-    (S) and ds (d) from the latest absorb_round.  A one-agent run may
-    instead predict a dependency block of rounds at once (predict_block).
+    (S) and ds (d) from the latest absorb_round; reused is the number of
+    leading steps predict_round copied from the round before.  A one-agent
+    run may instead predict a dependency block of rounds at once
+    (predict_block).
     """
 
     def __init__(self, cset: ConstraintSet, gossip: GossipMatrix, params: AlgoParams, seed,
@@ -166,7 +171,7 @@ class NetworkRun:
         self._mixed = np.empty((K, n, cset.dim))  # the ys of every round when n > 1
         self._predicted = 0
         self.vs = np.full((K, n, cset.dim), np.nan)  # no output equals it: round 1 reuses nothing
-        self.ys = self.sums = self.ds = None
+        self.ys = self.sums = self.ds = self.reused = None
 
     def predict_round(self, t: int) -> np.ndarray:
         """All agents' K gossip-FW steps; returns the (n, m) played decisions.
@@ -194,7 +199,7 @@ class NetworkRun:
             if n > 1:
                 self.gossip.mix(subs[k], out=ys[k])
             np.add(self._keep[k] * ys[k], steps[k - j], out=subs[k + 1])
-        self.vs, self.ys = vs, ys
+        self.vs, self.ys, self.reused = vs, ys, j
         return subs[K].copy()
 
     def predict_block(self, u: int, rows, sizes, losses, out) -> None:
@@ -241,38 +246,35 @@ class NetworkRun:
         self._predicted = u
         self.ys = self.ring[u % w, :K]
 
-    def absorb_round(self, t: int, rows, losses) -> None:
+    def absorb_round(self, t: int, rows, losses, ranks=None) -> None:
         """Gradient-tracking exchanges and oracle feedback for round t.
 
-        rows holds the (agent i, origin s) pairs released this round, sorted
-        by agent and then origin, and losses the matching (r, 1) stack of the
-        f^i_s (None when rows is empty).  On a network it runs even when
-        nothing is released so that oracle feedback stays synchronized
-        across rounds (zero vectors).
+        rows holds the (agent i, origin s) pairs released this round, each
+        agent's origins increasing, and losses their (r, 1) stack of f^i_s
+        (None when rows is empty).  ranks: where each rank of distinct,
+        ascending agents ends (FeedbackBuffer.ranks); by default each row is
+        a rank and its origin is checked against the ring.  On a network it
+        runs even when nothing is released so that oracle feedback stays
+        synchronized across rounds (zero vectors).
         """
         K, n, m = self.params.K, self.n, self.cset.dim
         agents, origins = rows[:, 0], rows[:, 1]
         # sums[k] holds S^i_{k+1} = sum_{s in F^i_t} grad f^i_s(x^i_{s,k+1}) for every agent i
         sums = np.zeros((K, n, m))
         if len(rows):
-            lo, hi = max(1, self._predicted - self.window + 1), min(t, self._predicted)
-            first, last = (origins[0], origins[-1]) if n == 1 else (origins.min(), origins.max())
-            if first < lo or last > hi:  # not in the ring, or in the future
-                raise ValueError(f"round {t} releases origins outside {lo}..{hi}")
-            g = losses.grad(self.ring[origins % self.window, :K, agents])  # (r, K, m)
-            if n > 1:  # each agent's terms in origin order
-                bounds = agents.searchsorted(np.arange(n + 1))  # each agent's first row
-                starts, counts = bounds[:-1], np.diff(bounds)
-                every = counts.min()  # the ranks every agent has: one whole-array add each
-                for j in range(counts.max()):  # every agent's j-th row at once: distinct agents
-                    if j < every:
-                        sums += g[starts + j].swapaxes(0, 1)
-                    else:
-                        who = (counts > j).nonzero()[0]
-                        sums[:, who] += g[starts[who] + j].swapaxes(0, 1)
-            else:  # the same adds, row by row into the zero seed
-                for row in g[:, :, None]:
-                    sums += row
+            if ranks is None:
+                ranks = range(1, len(rows) + 1)
+                lo, hi = max(1, self._predicted - self.window + 1), min(t, self._predicted)
+                if origins.min() < lo or origins.max() > hi:  # not in the ring, or in the future
+                    raise ValueError(f"round {t} releases origins outside {lo}..{hi}")
+            g = losses.grad(self.ring[origins % self.window, :K, agents]).swapaxes(0, 1)
+            start = 0
+            for end in ranks:  # a rank adds distinct agents' terms, each agent's in origin order
+                if end - start == n:  # every agent, ascending
+                    sums += g[:, start:end]
+                else:
+                    sums[:, agents[start:end]] += g[:, start:end]
+                start = end
         if n == 1:
             ds = sums  # W = [1]: d = S exactly, no tracking correction
         else:
@@ -309,8 +311,11 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
     T, n = run.params.T, run.n
     if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
         raise ValueError(f"need an ({n}, {T}) loss stream and {n} schedules of {T} rounds")
+    delays = np.array([s.d for s in schedules])
+    if delays[np.arange(T) + delays <= T].max(initial=1) > run.window:  # released past the ring
+        raise ValueError(f"a ring of {run.window} rounds is shorter than a delay released by T")
     table = FeedbackBuffer()
-    table.push([s.d for s in schedules])
+    table.push(delays)
     decisions = np.empty((T, n, run.cset.dim))
 
     def stack(rows):  # an empty stack is no loss (SoftmaxLoss rejects it)
@@ -325,16 +330,16 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
                 run.predict_block(u, rows, table.sizes[p:u], stack(rows), decisions[p:u])
             else:  # one round: its own steps cost less than a block's bookkeeping
                 if p:
-                    run.absorb_round(p, rows, stack(rows))
+                    run.absorb_round(p, rows, stack(rows), table.ranks(p))
                 decisions[p] = run.predict_round(u)
             p = u
         rows = table.release(T)  # fed to the bank after the last round, as round T absorbs it
-        run.absorb_round(T, rows, stack(rows))
+        run.absorb_round(T, rows, stack(rows), table.ranks(T))
         return decisions
     for t in range(1, T + 1):
         decisions[t - 1] = run.predict_round(t)
         rows = table.release(t)
-        run.absorb_round(t, rows, stack(rows))
+        run.absorb_round(t, rows, stack(rows), table.ranks(t))
         if observe is not None:
             observe(t)
     return decisions
@@ -384,8 +389,10 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
         consensus, tracking = np.empty((params.T, params.K)), np.empty((params.T, params.K))
 
         def observe(t):  # max_i ||y^i_{t,k} - xbar_{t,k}|| and max_i ||d^i_{t,k} - Sbar_k||
-            xs = run.ring[t % run.window, :-1]  # x^i_{t,k}, the iterates each mix averages
-            consensus[t - 1] = consensus_error(run.ys, agent_mean(xs))
+            j = run.reused  # steps 1..j repeat round t-1's inputs, so their rows do too
+            xs = run.ring[t % run.window, j:-1]  # x^i_{t,k}, the iterates each mix averages
+            consensus[t - 1, :j] = consensus[t - 2, :j]
+            consensus[t - 1, j:] = consensus_error(run.ys[j:], agent_mean(xs))
             tracking[t - 1] = consensus_error(run.ds, agent_mean(run.sums))
     decisions = run_rounds(run, stream, schedules, observe)
     per_agent = per_agent_global_losses(stream, decisions)

@@ -7,10 +7,11 @@ agent i,
 
     F^i_t = {s : s + d^i_s - 1 = t},
 
-are fixed by the schedules, so a run tabulates them once: one stable sort
-of the (n, T) due rounds gives every round's (agent, origin) rows, sorted
-by agent and then by origin.  Consumers sum each agent's feedback in that
-origin order, which fixes the rounding.  Feedback due after the horizon is
+are fixed by the schedules, so a run tabulates them once.  A round's
+(agent, origin) rows are rank-major: rank r holds the r-th release of
+every agent that has one, agents ascending, so a sum over the ranks adds
+each agent's feedback in origin order, which fixes the rounding (one
+agent's rows are in origin order).  Feedback due after the horizon is
 never released; the total delay B = sum(d_t) still counts it.
 """
 
@@ -82,7 +83,8 @@ class FeedbackBuffer:
     """The run's release table: which (agent, origin) pairs mature at each round.
 
     ``push`` takes the whole (n, T) delay table once; ``release(t)`` is then
-    a slice of precomputed rows and may be asked in any order.
+    a slice of precomputed rows and ``ranks(t)`` where its ranks end, and
+    both may be asked in any order.
     """
 
     _ends = (0,)  # the rows of rounds 1..t end at _ends[t]; nothing before a push
@@ -90,22 +92,36 @@ class FeedbackBuffer:
     def push(self, d) -> None:
         """Tabulate F^i_t for every agent i and round t from the delays d^i_s."""
         d = np.asarray(d, dtype=np.int64)  # (n, T), every d^i_s >= 1 as DelaySchedule checks
-        T = d.shape[1]
+        n, T = d.shape
         due = np.arange(T) + d  # s + d^i_s - 1
         order = np.argsort(due.ravel(), kind="stable")  # ties stay in (agent, origin) order
         ends = np.searchsorted(due.ravel()[order], np.arange(T + 1), side="right")
-        # (agent, origin) rows of the feedback due by T; what is due later never comes
-        self._rows = np.stack(np.divmod(order[:ends[-1]], T), axis=1) + [0, 1]
+        order = order[:ends[-1]]  # the feedback due by T; what is due later never comes
+        at, row = due.ravel()[order], np.arange(ends[-1])
+        # round * T + rank of each row, its rank counted within its agent's rows of the round
+        first = np.diff(at * n + order // T, prepend=-1) != 0
+        rank = at * T + row - np.maximum.accumulate(np.where(first, row, 0))
+        by_rank = np.argsort(rank, kind="stable")  # agents stay ascending within a rank
+        order, rank = order[by_rank], rank[by_rank]
+        self._rows = np.stack(np.divmod(order, T), axis=1) + [0, 1]
         self._rows.flags.writeable = False
         self._ends = ends.tolist()
+        starts = np.flatnonzero(np.diff(rank, prepend=-1))  # each rank's first row
+        # each rank's end within its round's rows; round t's ranks are [_first[t-1], _first[t])
+        self._rank_ends = (np.append(starts[1:], len(order)) - ends[rank[starts] // T - 1]).tolist()
+        self._first = np.searchsorted(starts, ends).tolist()
         self.sizes = np.diff(ends, prepend=0)  # sizes[t] = sum_i |F^i_t|, and sizes[0] = 0
         # block_end[p]: the first round after p that releases an origin s > p, or T; s comes
         # out at its earliest due round over agents, which is never before s
         self.block_end = np.minimum.accumulate(due.min(axis=0)[::-1])[::-1].clip(max=T).tolist()
 
     def release(self, t: int, last: int | None = None) -> np.ndarray:
-        """F_t..F_last (last = t by default) as (agent, origin) rows by round, agent, origin."""
+        """F_t..F_last (last = t by default) as (agent, origin) rows by round, then rank-major."""
         last = t if last is None else last
         if not (1 <= t < len(self._ends) and t - 1 <= last < len(self._ends)):
             raise ValueError(f"rounds {t}..{last} outside 1..{len(self._ends) - 1}")
         return self._rows[self._ends[t - 1]:self._ends[last]]
+
+    def ranks(self, t: int) -> list:
+        """Where each rank of release(t) ends, in increasing order (empty when it is)."""
+        return self._rank_ends[self._first[t - 1]:self._first[t]]

@@ -134,8 +134,9 @@ class GossipMatrix:
         return self.w.shape[0]
 
     def mix(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One synchronous gossip exchange: rows of x are per-agent vectors."""
-        return np.matmul(self.w, x, out=out)
+        """One synchronous gossip exchange: rows of x are per-agent vectors
+        (np.dot gives np.matmul's bits here, at less call overhead)."""
+        return np.dot(self.w, x, out=out)
 
 
 def metropolis_weights(topo: Topology) -> GossipMatrix:

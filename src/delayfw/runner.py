@@ -288,19 +288,22 @@ def _build_schedules(cfg: ExperimentConfig, run_seed: int) -> list:
     if delay["schedule"] is not None:
         schedules = [schedule_from_csv(p) for p in delay["schedule"]]
     else:
-        if delay["delayed_agent_count"] is None:
+        if delay["dmax"] == 1:  # integers(1, 2) draws only ones: no Generator needed
+            delayed = set()
+        elif delay["delayed_agent_count"] is None:
             delayed = set(range(n))
         else:
             rng = seeding.rng_for(run_seed, seeding.STREAM_DELAY, delay["seed"], n)
             delayed = set(rng.choice(n, size=delay["delayed_agent_count"],
                                      replace=False).tolist())
+        ones = DelaySchedule(np.ones(cfg.T, dtype=np.int64), 1)  # shared by the undelayed agents
         schedules = []
         for i in range(n):
             if i in delayed:
                 rng = seeding.rng_for(run_seed, seeding.STREAM_DELAY, delay["seed"], i)
                 schedules.append(gen_delays(cfg.T, delay["dmax"], rng))
             else:
-                schedules.append(DelaySchedule(np.ones(cfg.T, dtype=int), 1))
+                schedules.append(ones)
     for s in schedules:
         if s.T != cfg.T:
             raise ConfigError(f"delay schedule horizon {s.T} != config T {cfg.T}")

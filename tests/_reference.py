@@ -13,7 +13,10 @@ the fused comparator must match it bit for bit.  l1_lmo_by_sign picks the
 l1-ball vertex by sign, zero mask and multiply; the batched LMO's one
 np.where must match it bit for bit.  consensus_error_trailing sums squared
 distances along the trailing coordinate axis; the coordinate-major
-consensus_error must match it bit for bit.
+consensus_error must match it bit for bit.  agent_major_table is the
+release table sorted by round, agent and origin, with its round ends, sizes
+and block ends; FeedbackBuffer's rank-major rows must permute each round's
+rows and keep the rest.
 """
 
 import math
@@ -83,6 +86,18 @@ def gossip_fw_round(start, vs, w, etas):
         subs.append(x)
         ys.append(y)
     return np.array(subs), np.array(ys)
+
+
+def agent_major_table(d):
+    """(rows, ends, sizes, block_end) of the (n, T) delays: rows by round, agent, origin."""
+    d = np.asarray(d, dtype=np.int64)
+    T = d.shape[1]
+    due = np.arange(T) + d
+    order = np.argsort(due.ravel(), kind="stable")
+    ends = np.searchsorted(due.ravel()[order], np.arange(T + 1), side="right")
+    rows = np.stack(np.divmod(order[:ends[-1]], T), axis=1) + [0, 1]
+    block_end = np.minimum.accumulate(due.min(axis=0)[::-1])[::-1].clip(max=T)
+    return rows, ends, np.diff(ends, prepend=0), block_end
 
 
 def consensus_error_trailing(vectors, center):

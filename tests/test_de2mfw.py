@@ -16,6 +16,7 @@ from delayfw.de2mfw import (AlgoParams, NetworkRun, de2mfw_run, delmfw_run, run_
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import QuadraticLoss, estimate_constants, synth_quadratic_stream, synth_stream
+from delayfw.metrics import agent_mean, consensus_error
 from delayfw.network import GossipMatrix, metropolis_weights, topology
 
 L1 = ConstraintSet("l1_ball", 1.0, 3)
@@ -406,7 +407,7 @@ def test_one_agent_absorbs_only_release_rounds_unless_observed(monkeypatch, watc
                      seed=3, window=8)
     absorbed, absorb = [], NetworkRun.absorb_round
     monkeypatch.setattr(NetworkRun, "absorb_round",
-                        lambda r, t, rows, losses: absorbed.append(t) or absorb(r, t, rows, losses))
+                        lambda r, t, *args: absorbed.append(t) or absorb(r, t, *args))
     fed, feedback = [], run.bank.feedback
     run.bank.feedback = lambda g: fed.append(np.shape(g)) or feedback(g)
     zero = []
@@ -547,19 +548,24 @@ def test_one_agent_release_sums_equal_the_scatter(g):
 @settings(max_examples=100, deadline=None)
 @given(counts=st.lists(st.integers(0, 4), min_size=2, max_size=5), data=st.data())
 def test_network_release_sums_equal_the_scatter(counts, data):
-    # each agent's rows in origin order into its zero seed, as np.add.at adds them
+    # each agent's rows in origin order into its zero seed, as np.add.at adds them: rank-major
+    # rows with their rank ends, and agent-major rows with every row its own rank
     n, r = len(counts), sum(counts)
     K, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
     g = data.draw(arrays(np.float64, (r, K, m), elements=entries))
-    agents = np.repeat(np.arange(n), counts)
-    run = NetworkRun(ConstraintSet("l1_ball", 1.0, m), metropolis_weights(topology("cycle", n)),
-                     params_for(K=K, T=1), seed=0, window=1)
-    run.predict_round(1)
-    run.absorb_round(1, np.column_stack([agents, np.ones(r, dtype=np.int64)]), FixedGradients(g))
-    want = np.zeros((n, K, m))
-    np.add.at(want, agents, g)
-    assert np.array_equal(bits(run.sums.swapaxes(0, 1)), bits(want))
+    ranks = [[i for i in range(n) if counts[i] > j] for j in range(max(counts))]
+    rank_major = np.array([i for rank in ranks for i in rank], dtype=np.int64)
+    rank_ends = np.cumsum([len(rank) for rank in ranks]).tolist()
+    for agents, ends in ((rank_major, rank_ends), (np.repeat(np.arange(n), counts), None)):
+        run = NetworkRun(ConstraintSet("l1_ball", 1.0, m), metropolis_weights(topology("cycle", n)),
+                         params_for(K=K, T=1), seed=0, window=1)
+        run.predict_round(1)
+        rows = np.column_stack([agents, np.ones(r, dtype=np.int64)])
+        run.absorb_round(1, rows, FixedGradients(g), ends)
+        want = np.zeros((n, K, m))
+        np.add.at(want, agents, g)
+        assert np.array_equal(bits(run.sums.swapaxes(0, 1)), bits(want))
 
 
 # -- bookkeeping --------------------------------------------------------------------
@@ -600,6 +606,21 @@ def test_absorb_unknown_origin():
         run.absorb_round(1, np.array([[0, 0]]), loss)  # there is no round 0
     with pytest.raises(ValueError):
         run.absorb_round(2, np.array([[0, 2]]), loss)  # round 2 is not predicted yet
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_run_rounds_rejects_a_ring_shorter_than_a_released_delay(n):
+    # round 1 releases at round 3 (a delay of 3); a delay of 9 from round 2 never comes by T = 5
+    delays = [3, 9, 1, 1, 1]
+    stream = synth_quadratic_stream(seed=1, T=5, dim=3, n_agents=n)
+    for window, ok in ((2, False), (3, True)):
+        run = NetworkRun(L1, metropolis_weights(topology("complete", n)), params_for(K=2, T=5),
+                         seed=0, window=window)
+        if ok:
+            run_rounds(run, stream, [DelaySchedule(delays, dmax=9)] * n)
+        else:
+            with pytest.raises(ValueError, match="ring"):
+                run_rounds(run, stream, [DelaySchedule(delays, dmax=9)] * n)
 
 
 def test_one_agent_absorb_rejects_origins_outside_the_ring():
@@ -656,6 +677,34 @@ def test_diagnostics_do_not_perturb_the_run():
     assert np.array_equal(on.inst_loss, off.inst_loss)
     assert on.consensus.shape == on.tracking.shape == (9, params.K)
     assert off.consensus is None and off.tracking is None
+
+
+@pytest.mark.parametrize("softmax", [False, True])
+def test_reused_consensus_rows_equal_a_recomputation(monkeypatch, softmax):
+    # the observer copies the rows of the steps predict_round reused; consensus_error on every
+    # round's full arrays gives the same grid, from round 1, which reuses nothing, to the rounds
+    # before a release, which reuse all K steps
+    T, K, n = 24, 6, 4
+    delays = [8 * math.ceil(s / 8) - s + 1 for s in range(1, T + 1)]  # releases at 8, 16, 24
+    if softmax:  # radius and zeta picked so that a release round reuses 3 steps
+        stream, radius, zeta = synth_stream(1, T=T, p=2, C=3, batch=2, n_agents=n), 8.0, 5.0
+    else:
+        stream = synth_quadratic_stream(seed=5, T=T, dim=3, n_agents=n, scale=0.7)
+        radius, zeta = 1.0, 0.5
+    cset = ConstraintSet("l1_ball", radius, stream.dim)
+    full, reused, predict = [], [], NetworkRun.predict_round
+
+    def recomputed(run, t):
+        played = predict(run, t)
+        reused.append(run.reused)
+        full.append(consensus_error(run.ys, agent_mean(run.ring[t % run.window, :-1])))
+        return played
+
+    monkeypatch.setattr(NetworkRun, "predict_round", recomputed)
+    trace = de2mfw_run(cset, stream, [DelaySchedule(delays, dmax=8)] * n, topology("grid", n),
+                       params_for(K=K, T=T, zeta=zeta), seed=5)
+    assert np.array_equal(bits(trace.consensus), bits(np.array(full)))
+    assert reused[0] == 0 and K in reused and any(0 < j < K for j in reused), reused
 
 
 def test_trace_losses_match_manual_average():

@@ -1,11 +1,14 @@
 """Delay schedule and release-table tests against hand simulations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import write_schedule_csv
+from _reference import agent_major_table
 from delayfw.delay import DelaySchedule, FeedbackBuffer, gen_delays, schedule_from_csv
 
 
@@ -69,11 +72,14 @@ def test_push_release_rounds():
     assert [released(buf, t) for t in range(1, 5)] == [[(0, 1)], [], [(0, 3)], [(0, 2), (0, 4)]]
 
 
-def test_release_rows_are_agent_then_origin():
+def test_release_rows_are_rank_major():
     buf = table_of([3, 2, 1], [1, 2, 1], [2, 1, 1])
     assert released(buf, 1) == [(1, 1)]
     assert released(buf, 2) == [(2, 1), (2, 2)]
-    assert released(buf, 3) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    # rank 1 is every agent's first origin, rank 2 the second ones, rank 3 agent 0's third
+    assert released(buf, 3) == [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
+    assert [buf.ranks(t) for t in (1, 2, 3)] == [[1], [1, 2], [3, 5, 6]]
+    assert table_of([2, 1, 1]).ranks(1) == []  # round 1 releases nothing
 
 
 def test_no_delay_releases_self():
@@ -91,8 +97,12 @@ def test_release_matches_hand_simulation_random(n, T, dmax, data):
     buf = table_of(*d)
     seen, per_round = [], {}
     for t in range(1, T + 1):
-        want = per_round[t] = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 == t]
+        # rank r: the r-th origin of every agent that has one, agents ascending
+        by_agent = [[s for s in range(1, T + 1) if s + d[i, s - 1] - 1 == t] for i in range(n)]
+        ranks = [[(i, o[r]) for i, o in enumerate(by_agent) if r < len(o)] for r in range(T)]
+        want = per_round[t] = [pair for rank in ranks for pair in rank]
         assert released(buf, t) == want
+        assert buf.ranks(t) == list(itertools.accumulate(len(rank) for rank in ranks if rank))
         assert buf.sizes[t] == len(want)
         seen += want
     due_by_T = [(i, s) for i in range(n) for s in range(1, T + 1) if s + d[i, s - 1] - 1 <= T]
@@ -107,6 +117,25 @@ def test_release_matches_hand_simulation_random(n, T, dmax, data):
     for p in range(T):
         later = [u for u in range(p + 1, T + 1) if any(s > p for _, s in per_round[u])]
         assert buf.block_end[p] == (later[0] if later else T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), T=st.integers(1, 40), dmax=st.integers(1, 50),
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_major_rows_permute_the_agent_major_rows(n, T, dmax, seed):
+    d = np.random.default_rng(seed).integers(1, dmax + 1, size=(n, T))
+    buf = table_of(*d)
+    rows, ends, sizes, block_end = agent_major_table(d)
+    assert np.array_equal(buf.sizes, sizes) and buf.block_end == block_end.tolist()
+    for t in range(1, T + 1):
+        got, want = buf.release(t), rows[ends[t - 1]:ends[t]]
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+        for i in range(n):  # each agent's origins increase
+            assert np.all(np.diff(got[got[:, 0] == i, 1]) > 0)
+        for lo, hi in zip([0] + buf.ranks(t), buf.ranks(t)):  # agents increase within a rank
+            assert np.all(np.diff(got[lo:hi, 0]) > 0)
+        if n == 1:  # one agent keeps the agent-major order
+            assert np.array_equal(got, want)
 
 
 def test_conservation():

@@ -1,6 +1,8 @@
 """Topology and gossip-matrix tests with hand-computed spectral fixtures, and
 the closed-form step constant A."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from delayfw.de2mfw import algorithm_constants
 from delayfw.network import (
     ER_MAX_ATTEMPTS,
+    TOPOLOGY_KINDS,
     Topology,
     grid_shape,
     k0_of,
@@ -112,6 +115,28 @@ def test_weights_respect_edges():
 def test_mix_path3_example():
     g = metropolis_weights(path3())
     np.testing.assert_allclose(g.mix(np.array([1.0, 2.0, 3.0])), [4 / 3, 2.0, 8 / 3], atol=1e-15)
+
+
+@functools.cache
+def gossip_of(kind, n):
+    return metropolis_weights(topology(kind, n, p=0.3, seed=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(TOPOLOGY_KINDS), n=st.integers(2, 80),
+       m=st.one_of(st.just(1), st.integers(1, 40)), seed=st.integers(0, 2**32 - 1))
+def test_mix_is_matmul_bitwise(kind, n, m, seed):
+    # magnitudes 1e-5..1e5 of either sign, with +0.0 and -0.0 entries
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], (n, m)) * 10.0 ** rng.uniform(-5, 5, (n, m))
+    x[rng.random((n, m)) < 0.2] = 0.0
+    x[rng.random((n, m)) < 0.1] = -0.0
+    g = gossip_of(kind, n)
+    want = np.matmul(g.w, x).view(np.uint64)
+    out = np.empty((n, m))
+    assert g.mix(x, out=out) is out
+    assert np.array_equal(out.view(np.uint64), want)
+    assert np.array_equal(g.mix(x).view(np.uint64), want)
 
 
 def test_mix_preserves_mean_and_contracts():

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from _fixtures import read_text, read_trace_csv, write_schedule_csv
-from delayfw import cli, runner
+from delayfw import cli, runner, seeding
 from delayfw.de2mfw import algorithm_constants
-from delayfw.delay import DelaySchedule
+from delayfw.delay import DelaySchedule, gen_delays
 
 
 def minimal_centralized(**over):
@@ -269,6 +269,19 @@ def test_delayed_agent_selection_seeded():
     assert [list(s.d) for s in again] == [list(s.d) for s in scheds]
     other = runner._build_schedules(cfg, run_seed=4)
     assert [list(s.d) for s in other] != [list(s.d) for s in scheds]
+
+
+@pytest.mark.parametrize("count", [None, 2])
+def test_dmax_one_schedules_are_the_ones_a_draw_gives(monkeypatch, count):
+    # integers(1, 2) can only return 1, so dmax = 1 builds its schedules without a Generator
+    obj = minimal_distributed()
+    obj["delay"] = {"dmax": 1} if count is None else {"dmax": 1, "delayed_agent_count": count}
+    cfg = parse(obj)
+    drawn = [gen_delays(cfg.T, 1, seeding.rng_for(3, seeding.STREAM_DELAY, 0, i)) for i in range(4)]
+    monkeypatch.setattr(runner.seeding, "rng_for", None)  # any Generator would fail the build
+    for got, want in zip(runner._build_schedules(cfg, run_seed=3), drawn, strict=True):
+        assert got.dmax == want.dmax == 1
+        assert got.d.dtype == want.d.dtype and np.array_equal(got.d, want.d)
 
 
 def test_schedule_from_file(tmp_path):
