@@ -21,8 +21,8 @@ oracle of step k is fed d^i_{t,k}.  The tracking recursion is evaluated as
 
 which equals the usual incremental form but collapses to the centralized
 algorithm when n = 1: W = [1] makes the mix an identity and d - S vanish
-exactly, so the engine skips both there.  Centralized DeLMFW is this
-engine on the one-node graph.
+exactly, so the engine skips both there.  Centralized DeLMFW is de2mfw_run
+on the one-node graph: its trace is that run's, relabelled.
 
 Agents with an empty release set still participate: they contribute g = 0
 to the exchanges, which keeps the network-average of d equal to the
@@ -345,35 +345,16 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
     return decisions
 
 
-def _base_metadata(mode: str, cset: ConstraintSet, stream: LossStream,
-                   params: AlgoParams, seed) -> dict:
-    return {
-        "mode": mode,
-        "seed": seed,
-        "T": params.T,
-        "K": params.K,
-        "A": repr(float(params.A)),
-        "zeta": repr(float(params.zeta)),
-        "B_est": repr(params.B_est),
-        "set_kind": cset.kind,
-        "radius": repr(cset.radius),
-        "dim": cset.dim,
-        "loss_kind": stream.kind,
-        "x_init_policy": "zero_lmo",
-    }
-
-
 def delmfw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
                params: AlgoParams, seed) -> RunTrace:
-    """Centralized DeLMFW: T rounds of the engine on the one-node graph."""
-    run = NetworkRun(cset, metropolis_weights(topology("complete", 1)), params, seed,
-                     window=schedule.dmax)
-    decisions = run_rounds(run, stream, [schedule])
-    metadata = _base_metadata("delmfw", cset, stream, params, seed)
-    metadata.update({"B": schedule.B, "dmax": schedule.dmax})
-    return RunTrace(mode="delmfw", decisions=decisions[:, 0],
-                    inst_loss=per_agent_global_losses(stream, decisions)[:, 0],
-                    metadata=metadata)
+    """Centralized DeLMFW: de2mfw_run on the one-node graph, without diagnostics.
+
+    Only the mode tells its trace from the one-node network run's.
+    """
+    trace = de2mfw_run(cset, stream, [schedule], topology("complete", 1), params, seed,
+                       diagnostics=False)
+    trace.mode = trace.metadata["mode"] = "delmfw"
+    return trace
 
 
 def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topology,
@@ -396,21 +377,26 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
             tracking[t - 1] = consensus_error(run.ds, agent_mean(run.sums))
     decisions = run_rounds(run, stream, schedules, observe)
     per_agent = per_agent_global_losses(stream, decisions)
-    metadata = _base_metadata("de2mfw", cset, stream, params, seed)
-    metadata.update({
+    metadata = {
+        "mode": "de2mfw",
+        "seed": seed,
+        "T": params.T,
+        "K": params.K,
+        "A": repr(float(params.A)),
+        "zeta": repr(float(params.zeta)),
+        "B_est": repr(params.B_est),
         "B": repr(float(np.mean([s.B for s in schedules]))),
+        "set_kind": cset.kind,
+        "radius": repr(cset.radius),
+        "dim": cset.dim,
+        "loss_kind": stream.kind,
+        "x_init_policy": "zero_lmo",
         "n": topo.n,
         "topology": topo.kind,
         "lambda2": repr(gossip.lambda2),
         "k0": gossip.k0,
         "feed_empty": True,
-    })
-    return RunTrace(
-        mode="de2mfw",
-        decisions=decisions,
-        inst_loss=per_agent.max(axis=1),
-        metadata=metadata,
-        per_agent_loss=per_agent,
-        consensus=consensus,
-        tracking=tracking,
-    )
+    }
+    return RunTrace(mode="de2mfw", decisions=decisions, inst_loss=per_agent.max(axis=1),
+                    metadata=metadata, per_agent_loss=per_agent, consensus=consensus,
+                    tracking=tracking)

@@ -31,10 +31,10 @@ _BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses block
 class RunTrace:
     """Per-round record of one run.
 
-    decisions is (T, m) for single-agent runs and (T, n, m) for network
-    runs.  inst_loss holds f_t(x_t) centrally and the worst-agent global
-    loss max_i F_t(x^i_t) in the distributed case, where per_agent_loss
-    keeps the (T, n) matrix of every F_t(x^i_t).  consensus/tracking are
+    decisions is (T, n, m) for the Frank-Wolfe runs (n = 1 for centralized
+    DeLMFW) and (T, m) for the baselines.  inst_loss holds the worst-agent
+    global loss max_i F_t(x^i_t), where per_agent_loss keeps the (T, n)
+    matrix of every F_t(x^i_t), or a baseline's f_t(x_t).  consensus/tracking are
     optional (T, K) diagnostic grids; their CSV columns carry the per-round
     max over k.
     """
@@ -208,8 +208,8 @@ def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.nda
 def regret(trace: RunTrace, comparator: Comparator, stream: LossStream) -> np.ndarray:
     """Prefix regret curve; the last entry is the reported regret.
 
-    Single-agent: cumulative f_t(x_t) minus cumulative f_t(x*).
-    Distributed: max over agents of cumulative F_t(x^i_t) - F_t(x*).
+    Baselines: cumulative f_t(x_t) minus cumulative f_t(x*).
+    Frank-Wolfe runs: max over agents of cumulative F_t(x^i_t) - F_t(x*).
     """
     # F_t(x*) for every round from one stacked call, agents summed in order
     # as LossStream.average_value sums them

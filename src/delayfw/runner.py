@@ -31,8 +31,8 @@ import numpy as np
 
 from . import seeding
 from .baselines import dgd_run, dofw_run
-from .de2mfw import (NetworkRun, algorithm_constants, de2mfw_run, delmfw_run, run_rounds,
-                     tuned_params)
+from .de2mfw import (AlgoParams, NetworkRun, algorithm_constants, de2mfw_run, delmfw_run,
+                     run_rounds, tuned_params)
 from .delay import DelaySchedule, gen_delays, schedule_from_csv
 from .geometry import KINDS, ConstraintSet
 from .losses import (
@@ -515,17 +515,22 @@ def _check_doubly_stochastic():
 
 
 def _check_weight_sum():
-    worst_ratio = 0.0
-    K = 10_000
-    ks = np.arange(1, K + 1, dtype=float)
+    """The step rule's Frank-Wolfe weights w_k = eta_k prod_{l>k} (1 - eta_l) sum to 1.
+
+    The sum telescopes to 1 - prod_k (1 - eta_k), exactly 1 when eta_1 = 1;
+    at K = 1 it is eta_1 itself.
+    """
+    worst = 0.0
     for a in range(3, 11):
-        eta = np.minimum(1.0, a / ks)
-        # tail[k] = prod_{l > k} (1 - eta_l), via a reversed cumulative product
-        tail = np.ones(K)
-        tail[:-1] = np.cumprod((1.0 - eta)[::-1])[::-1][1:]
-        total = float(np.sum(eta * tail))
-        worst_ratio = max(worst_ratio, total / (3.0 * (a + 1.0)))
-    return worst_ratio <= 1.0, f"max weight-sum / 3(A+1) = {worst_ratio:.3g}"
+        params = AlgoParams(T=1, K=1, A=float(a), zeta=1.0, B_est=1.0)
+        etas = np.array([params.eta(k) for k in range(1, 10_001)])  # the engine's rule
+        for K in (1, 10, 100, 1000, 10_000):
+            eta = etas[:K]
+            # tail[k] = prod_{l > k} (1 - eta_l), via a reversed cumulative product
+            tail = np.ones(K)
+            tail[:-1] = np.cumprod((1.0 - eta)[::-1])[::-1][1:]
+            worst = max(worst, abs(float(np.sum(eta * tail)) - 1.0))
+    return worst <= 1e-12, f"max |sum_k w_k - 1| = {worst:.3g} (tol 1e-12)"
 
 
 def selftest(print_fn=print) -> bool:

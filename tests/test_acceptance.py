@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw, read_golden
 from _reference import meta_fw_run
@@ -17,7 +19,7 @@ from delayfw import runner, seeding
 from delayfw.baselines import dofw_run
 from delayfw.de2mfw import AlgoParams, algorithm_constants, delmfw_run, tuned_params
 from delayfw.delay import DelaySchedule, gen_delays
-from delayfw.geometry import ConstraintSet
+from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import synth_quadratic_stream, synth_stream
 from delayfw.metrics import attach_regret, compute_comparator
 from delayfw.network import k0_of, metropolis_weights, topology
@@ -165,6 +167,23 @@ def test_criterion_4_brute_force_oracles():
 # -- 5. no-delay / single-agent reductions -------------------------------------------
 
 
+def twin_traces(base, seed=0):
+    """Trace CSV lines of a centralized config and its one-node distributed twin."""
+    central = runner.run_single(runner.config_from_dict({"mode": "centralized", **base}), seed)
+    single = runner.run_single(runner.config_from_dict(
+        {"mode": "distributed", "topology": {"kind": "complete", "n": 1},
+         "diagnostics": False, **base}), seed)
+    return central.csv_text().splitlines(), single.csv_text().splitlines()
+
+
+def assert_twins(central, single):
+    """The two files are equal line for line but for #mode and #config_sha256."""
+    assert len(central) == len(single)
+    differ = [(c, s) for c, s in zip(central, single) if c != s]
+    assert [c.partition("=")[0] for c, _ in differ] == ["#config_sha256", "#mode"], differ
+    assert differ[1] == ("#mode=delmfw", "#mode=de2mfw")
+
+
 def test_criterion_5_reductions():
     T, K, dim = 30, 5, 3
     cset = ConstraintSet("l1_ball", 1.0, dim)
@@ -174,27 +193,39 @@ def test_criterion_5_reductions():
 
     trace = delmfw_run(cset, stream, ones, params, seed=5)
     ref_decisions, ref_inst = meta_fw_run(cset, stream, params, seed=5)
-    assert np.array_equal(trace.decisions, ref_decisions)
+    assert np.array_equal(trace.decisions[:, 0], ref_decisions)
     assert np.array_equal(trace.inst_loss, ref_inst)
 
     # A centralized config and its one-node network twin, through run_single: the
     # agent count picks A, so they run the same algorithm.  G/(beta D) > 2 here,
     # where the network rule 3G/(2 beta D) alone would give a larger A.
-    base = {"T": 64, "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
-            "loss": {"kind": "quadratic"}, "delay": {"dmax": 10}, "seeds": [0]}
-    central = runner.run_single(runner.config_from_dict({"mode": "centralized", **base}), 0)
-    single = runner.run_single(runner.config_from_dict(
-        {"mode": "distributed", "topology": {"kind": "complete", "n": 1},
-         "diagnostics": False, **base}), 0)
-    meta = lambda tr: dict(l[1:].partition("=")[::2] for l in tr.csv_text().splitlines()
-                           if l.startswith("#"))
-    data = lambda tr: [l for l in tr.csv_text().splitlines() if not l.startswith("#")]
-    mc, ms = meta(central), meta(single)
-    assert float(mc["G"]) / (float(mc["beta"]) * float(mc["D"])) > 2.0
-    for key in ("A", "K", "zeta", "B_est", "G", "beta", "D"):
-        assert ms[key] == mc[key], f"{key}: n=1 network {ms[key]} != centralized {mc[key]}"
-    assert data(single) == data(central)
-    report(5, "dmax=1 == reference bitwise; n=1 network config == centralized config bitwise")
+    central, single = twin_traces({
+        "T": 64, "set": {"kind": "l1_ball", "radius": 1.0, "dim": 8},
+        "loss": {"kind": "quadratic"}, "delay": {"dmax": 10}, "seeds": [0]})
+    meta = dict(line[1:].partition("=")[::2] for line in central if line.startswith("#"))
+    assert float(meta["G"]) / (float(meta["beta"]) * float(meta["D"])) > 2.0
+    assert_twins(central, single)
+    report(5, "dmax=1 == reference bitwise; n=1 network trace == centralized trace "
+              "but for #mode and #config_sha256")
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 40), K=st.none() | st.integers(1, 6), kind=st.sampled_from(KINDS),
+       softmax=st.booleans(), dim=st.integers(1, 4), C=st.integers(2, 3),
+       seed=st.integers(0, 3), data=st.data())
+def test_criterion_5_twin_traces_differ_only_in_mode(T, K, kind, softmax, dim, C, seed, data):
+    # softmax: dim features per sample and C classes, so the set has dim * C coordinates
+    base = {"T": T, "delay": {"dmax": data.draw(st.integers(1, T), label="dmax")},
+            "seeds": [seed]}
+    if softmax:
+        base["set"] = {"kind": kind, "radius": 2.0, "p": dim, "C": C}
+        base["loss"] = {"kind": "softmax_xent", "batch": 2}
+    else:
+        base["set"] = {"kind": kind, "radius": 1.0, "dim": dim}
+        base["loss"] = {"kind": "quadratic"}
+    if K is not None:
+        base["K_override"] = K
+    assert_twins(*twin_traces(base, seed))
 
 
 # -- 6. regret scaling in T ----------------------------------------------------------

@@ -53,12 +53,13 @@ def test_names_the_harness_reads_outside_its_spans():
 
 def test_run_single_hands_the_engines_a_set_and_a_stream(monkeypatch):
     # the engine hook wraps runner.delmfw_run and runner.de2mfw_run by name, reads
-    # their first two arguments as the set and the stream, and the decisions returned
+    # their first two arguments as the set and the stream, and the decisions returned;
+    # a centralized run must enter through runner.delmfw_run, or the hook misses it
     seen = []
     for name in ("delmfw_run", "de2mfw_run"):
-        def spy(*args, _engine=vars(runner)[name], **kwargs):
+        def spy(*args, _engine=vars(runner)[name], _name=name, **kwargs):
             trace = _engine(*args, **kwargs)
-            seen.append((args, trace))
+            seen.append((_name, args, trace))
             return trace
 
         monkeypatch.setattr(runner, name, spy)
@@ -69,8 +70,9 @@ def test_run_single_hands_the_engines_a_set_and_a_stream(monkeypatch):
         warnings.simplefilter("error")  # a network run warns of nothing
         runner.run_single(runner.config_from_dict(
             {**body, "mode": "distributed", "topology": {"kind": "cycle", "n": 4}}), 0)
-    assert [trace.decisions.shape for _, trace in seen] == [(6, 3), (6, 4, 3)]
-    for args, _ in seen:
+    assert [(name, trace.decisions.shape) for name, _, trace in seen] == [
+        ("delmfw_run", (6, 1, 3)), ("de2mfw_run", (6, 4, 3))]
+    for _, args, _ in seen:
         assert isinstance(args[0], geometry.ConstraintSet)
         assert isinstance(args[1], losses.LossStream)
 

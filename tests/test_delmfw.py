@@ -238,7 +238,7 @@ def test_run_no_delay_matches_reference_bitwise():
     cset, stream, schedule, params = run_setup(T=40, dmax=1, seed=0)
     trace = delmfw_run(cset, stream, schedule, params, seed=0)
     ref_dec, ref_inst = meta_fw_run(cset, stream, params, seed=0)
-    assert np.array_equal(trace.decisions, ref_dec)
+    assert np.array_equal(trace.decisions[:, 0], ref_dec)
     assert np.array_equal(trace.inst_loss, ref_inst)
 
 
@@ -254,9 +254,10 @@ def test_run_deterministic():
 def test_run_feasibility_and_metadata():
     cset, stream, schedule, params = run_setup(T=30, dmax=4, seed=5)
     trace = delmfw_run(cset, stream, schedule, params, seed=5)
-    for x in trace.decisions:
+    assert trace.decisions.shape == (30, 1, 3)
+    for x in trace.decisions[:, 0]:
         assert cset.contains(x, tol=1e-9)
-    assert trace.metadata["B"] == schedule.B
+    assert trace.metadata["B"] == repr(float(schedule.B))
     assert trace.metadata["K"] == params.K
     np.testing.assert_allclose(trace.cum_loss, np.cumsum(trace.inst_loss), atol=1e-9)
 

@@ -103,7 +103,7 @@ def hand_delmfw():
 def test_delmfw_hand_simulation():
     trace, stream, _ = golden_delmfw()
     decisions, inst = hand_delmfw()
-    assert np.array_equal(trace.decisions, decisions)
+    assert np.array_equal(trace.decisions[:, 0], decisions)
     assert np.array_equal(trace.inst_loss, inst)
     comp = compute_comparator(stream, CSET)
     want = hand_regret_curve(inst, comp.x, lambda x, t: stream.average_value(x, t))

@@ -16,7 +16,7 @@ import pytest
 
 from _fixtures import read_text, read_trace_csv, write_schedule_csv
 from delayfw import cli, runner, seeding
-from delayfw.de2mfw import algorithm_constants
+from delayfw.de2mfw import AlgoParams, algorithm_constants
 from delayfw.delay import DelaySchedule, gen_delays
 
 
@@ -577,6 +577,16 @@ def test_cli_selftest(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_selftest_weight_sum_fails_for_a_short_first_step(monkeypatch):
+    # with eta_1 < 1 the weights sum to 1 - prod_k (1 - eta_k): eta_1 itself at K = 1
+    monkeypatch.setattr(AlgoParams, "eta", lambda self, k: min(0.9, self.A / k))
+    lines = []
+    assert not runner.selftest(print_fn=lines.append)
+    weight_sum = [line for line in lines if " weight_sum: " in line]
+    assert len(weight_sum) == 1 and weight_sum[0].startswith("FAIL weight_sum: ")
+    assert "= 0.1 (tol 1e-12)" in weight_sum[0]
 
 
 def test_cli_bad_usage():
