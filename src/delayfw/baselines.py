@@ -1,7 +1,8 @@
 """Projection-free and projected baselines under delayed feedback.
 
-Two single-agent reference algorithms share the run harness of the main
-methods so their traces are directly comparable:
+Two single-agent reference algorithms return the main methods' trace, one
+agent's: (T, 1, m) decisions and the (T, 1) losses of
+metrics.per_agent_global_losses, so their traces are directly comparable:
 
 ``DofwState``
     A delayed online Frank-Wolfe step.  All gradients received so far are
@@ -35,7 +36,7 @@ import numpy as np
 from .delay import DelaySchedule, FeedbackBuffer
 from .geometry import ConstraintSet
 from .losses import LossStream
-from .metrics import RunTrace
+from .metrics import RunTrace, per_agent_global_losses
 
 
 class DofwState:
@@ -94,13 +95,12 @@ def _baseline_run(make_state, mode: str, step_key: str, cset: ConstraintSet,
     table = FeedbackBuffer()
     table.push(schedule.d[None])
     T = schedule.T
-    decisions = np.empty((T, cset.dim))
+    decisions = np.empty((T, 1, cset.dim))
     for t in range(1, T + 1):
-        decisions[t - 1] = state.x
+        decisions[t - 1, 0] = state.x
         origins = table.release(t)[:, 1] - 1
-        grads = stream.losses[0, origins].grad(decisions[origins]) if len(origins) else []
+        grads = stream.losses[0, origins].grad(decisions[origins, 0]) if len(origins) else []
         state.round(grads)
-    inst = stream.losses[0].value(decisions)
     metadata = {
         "mode": mode,
         "seed": seed,
@@ -115,7 +115,7 @@ def _baseline_run(make_state, mode: str, step_key: str, cset: ConstraintSet,
     }
     if mode == "baseline_dofw":
         metadata["step_rule"] = "exact_line_search"
-    return RunTrace(mode=mode, decisions=decisions, inst_loss=inst, metadata=metadata)
+    return RunTrace(decisions, per_agent_global_losses(stream, decisions), metadata)
 
 
 def dofw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,

@@ -303,10 +303,12 @@ def _round_sums(g, counts) -> np.ndarray:
 def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> np.ndarray:
     """Drive the run through its T rounds; returns the (T, n, m) decisions.
 
-    Each round predicts and absorbs the losses that mature this round, read
-    from the schedules' release table; with one agent and no observer each
-    dependency block is one predict_block, and round T's release is absorbed
-    last.  observe(t), when given, is called after round t's absorb_round.
+    One loop from the last predicted round p, 0 at the start, reads the
+    releases from the schedules' release table.  With one agent and no
+    observer, rounds p+1..block_end[p] form a dependency block, and a block
+    of two or more rounds is one predict_block.  Every other step is one
+    round: absorb round p, observe(p) when an observer is given, predict
+    round p+1.  Round T is absorbed and observed after the loop.
     """
     T, n = run.params.T, run.n
     if stream.losses.shape != (n, T) or [s.T for s in schedules] != [T] * n:
@@ -321,27 +323,25 @@ def run_rounds(run: NetworkRun, stream: LossStream, schedules, observe=None) -> 
     def stack(rows):  # an empty stack is no loss (SoftmaxLoss rejects it)
         return stream.losses[rows[:, 0], rows[:, 1] - 1, None] if len(rows) else None
 
-    if n == 1 and observe is None:
-        p = 0
-        while p < T:
-            u = table.block_end[p]
-            rows = table.release(max(p, 1), u - 1)
-            if u > p + 1:
-                run.predict_block(u, rows, table.sizes[p:u], stack(rows), decisions[p:u])
-            else:  # one round: its own steps cost less than a block's bookkeeping
-                if p:
-                    run.absorb_round(p, rows, stack(rows), table.ranks(p))
-                decisions[p] = run.predict_round(u)
-            p = u
-        rows = table.release(T)  # fed to the bank after the last round, as round T absorbs it
-        run.absorb_round(T, rows, stack(rows), table.ranks(T))
-        return decisions
-    for t in range(1, T + 1):
-        decisions[t - 1] = run.predict_round(t)
+    def absorb(t):
         rows = table.release(t)
         run.absorb_round(t, rows, stack(rows), table.ranks(t))
         if observe is not None:
             observe(t)
+
+    blocks = n == 1 and observe is None
+    p = 0
+    while p < T:
+        u = table.block_end[p] if blocks else p + 1
+        if u > p + 1:
+            rows = table.release(max(p, 1), u - 1)
+            run.predict_block(u, rows, table.sizes[p:u], stack(rows), decisions[p:u])
+        else:  # one round: its own steps cost less than a block's bookkeeping
+            if p:
+                absorb(p)
+            decisions[p] = run.predict_round(u)
+        p = u
+    absorb(T)  # round T's release still reaches the bank, and the observer
     return decisions
 
 
@@ -353,7 +353,7 @@ def delmfw_run(cset: ConstraintSet, stream: LossStream, schedule: DelaySchedule,
     """
     trace = de2mfw_run(cset, stream, [schedule], topology("complete", 1), params, seed,
                        diagnostics=False)
-    trace.mode = trace.metadata["mode"] = "delmfw"
+    trace.metadata["mode"] = "delmfw"
     return trace
 
 
@@ -376,7 +376,6 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
             consensus[t - 1, j:] = consensus_error(run.ys[j:], agent_mean(xs))
             tracking[t - 1] = consensus_error(run.ds, agent_mean(run.sums))
     decisions = run_rounds(run, stream, schedules, observe)
-    per_agent = per_agent_global_losses(stream, decisions)
     metadata = {
         "mode": "de2mfw",
         "seed": seed,
@@ -397,6 +396,5 @@ def de2mfw_run(cset: ConstraintSet, stream: LossStream, schedules, topo: Topolog
         "k0": gossip.k0,
         "feed_empty": True,
     }
-    return RunTrace(mode="de2mfw", decisions=decisions, inst_loss=per_agent.max(axis=1),
-                    metadata=metadata, per_agent_loss=per_agent, consensus=consensus,
-                    tracking=tracking)
+    return RunTrace(decisions, per_agent_global_losses(stream, decisions), metadata,
+                    consensus=consensus, tracking=tracking)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,28 +29,30 @@ _BLOCK_FLOATS = 2**15  # broadcast loss data per per_agent_global_losses block
 
 @dataclass
 class RunTrace:
-    """Per-round record of one run.
+    """Per-round record of one run, the same shape for every algorithm.
 
-    decisions is (T, n, m) for the Frank-Wolfe runs (n = 1 for centralized
-    DeLMFW) and (T, m) for the baselines.  inst_loss holds the worst-agent
-    global loss max_i F_t(x^i_t), where per_agent_loss keeps the (T, n)
-    matrix of every F_t(x^i_t), or a baseline's f_t(x_t).  consensus/tracking are
-    optional (T, K) diagnostic grids; their CSV columns carry the per-round
-    max over k.
+    decisions is (T, n, m) and per_agent_loss the (T, n) matrix of the
+    global losses F_t(x^i_t); n = 1 for centralized DeLMFW, DOFW and DGD,
+    where F_t is f_t.  inst_loss, the worst agent's loss max_i F_t(x^i_t),
+    is derived from it.  The mode is metadata["mode"].  consensus/tracking
+    are optional (T, K) diagnostic grids; their CSV columns carry the
+    per-round max over k.
     """
 
-    mode: str
     decisions: np.ndarray
-    inst_loss: np.ndarray
+    per_agent_loss: np.ndarray
     metadata: dict
-    per_agent_loss: np.ndarray | None = None
     consensus: np.ndarray | None = None
     tracking: np.ndarray | None = None
     regret_prefix: np.ndarray | None = None
 
     @property
     def T(self) -> int:
-        return int(self.inst_loss.size)
+        return int(self.per_agent_loss.shape[0])
+
+    @property
+    def inst_loss(self) -> np.ndarray:
+        return self.per_agent_loss.max(axis=1)
 
     @property
     def cum_loss(self) -> np.ndarray:
@@ -166,7 +168,7 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
 
 
 def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.ndarray:
-    """(T, n) matrix of F_t(x^i_t) for distributed decisions (T, n, m).
+    """(T, n) matrix of F_t(x^i_t) for decisions (T, n, m).
 
     Each block of rounds evaluates all n decisions of each round against
     that round's n losses.  A round broadcasts n*n losses' data (theta, or
@@ -208,18 +210,15 @@ def per_agent_global_losses(stream: LossStream, decisions: np.ndarray) -> np.nda
 def regret(trace: RunTrace, comparator: Comparator, stream: LossStream) -> np.ndarray:
     """Prefix regret curve; the last entry is the reported regret.
 
-    Baselines: cumulative f_t(x_t) minus cumulative f_t(x*).
-    Frank-Wolfe runs: max over agents of cumulative F_t(x^i_t) - F_t(x*).
+    The max over agents of cumulative F_t(x^i_t) - F_t(x*); with one agent,
+    cumulative f_t(x_t) - f_t(x*).
     """
     # F_t(x*) for every round from one stacked call, agents summed in order
     # as LossStream.average_value sums them
     vals = stream.losses.value(comparator.x)  # (n, T)
     comp = np.add.accumulate(vals, axis=0)[-1] / stream.n_agents
-    comp_cum = np.cumsum(comp[:trace.T])
-    if trace.per_agent_loss is None:
-        return trace.cum_loss - comp_cum
     agent_cum = np.cumsum(trace.per_agent_loss, axis=0)
-    return np.max(agent_cum - comp_cum[:, None], axis=1)
+    return np.max(agent_cum - np.cumsum(comp[:trace.T])[:, None], axis=1)
 
 
 def attach_regret(trace: RunTrace, comparator: Comparator, stream: LossStream) -> RunTrace:

@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from delayfw import runner
-from delayfw.baselines import dofw_run
+from delayfw.baselines import dgd_run, dofw_run
 from delayfw.de2mfw import AlgoParams, de2mfw_run, delmfw_run
 from delayfw.delay import DelaySchedule
 from delayfw.geometry import ConstraintSet
@@ -112,6 +112,7 @@ DE2MFW_PARAMS = AlgoParams(T=3, K=4, A=3.0, zeta=0.25, B_est=4.0)
 DOFW_THETAS = ((0.5, 0.25), (-0.25, 0.5), (0.25, -0.125))
 DOFW_DELAYS = (1, 2, 1)
 DOFW_ETA_REG = 0.5
+DGD_ETA = 0.5
 
 
 def quad_stream(per_agent_thetas):
@@ -139,6 +140,15 @@ def golden_dofw():
     stream = quad_stream((DOFW_THETAS,))
     schedule = DelaySchedule(DOFW_DELAYS, dmax=2)
     trace = dofw_run(CSET, stream, schedule, eta_reg=DOFW_ETA_REG, seed=0)
+    attach_regret(trace, compute_comparator(stream, CSET), stream)
+    return trace, stream, schedule
+
+
+def golden_dgd():
+    """Delayed projected gradient descent on the DOFW fixture's losses and delays."""
+    stream = quad_stream((DOFW_THETAS,))
+    schedule = DelaySchedule(DOFW_DELAYS, dmax=2)
+    trace = dgd_run(CSET, stream, schedule, eta_dgd=DGD_ETA, seed=0)
     attach_regret(trace, compute_comparator(stream, CSET), stream)
     return trace, stream, schedule
 

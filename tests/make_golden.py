@@ -18,6 +18,7 @@ from _fixtures import (  # noqa: E402
     golden_de2mfw,
     golden_de2mfw_config,
     golden_delmfw,
+    golden_dgd,
     golden_dofw,
     golden_softmax_central,
     golden_softmax_net,
@@ -29,6 +30,7 @@ def main():
     for name, build in [("delmfw_t4.csv", golden_delmfw),
                         ("de2mfw_n3.csv", golden_de2mfw),
                         ("dofw_t3.csv", golden_dofw),
+                        ("dgd_t3.csv", golden_dgd),
                         ("softmax_net_c3.csv", golden_softmax_net),
                         ("softmax_central_c9.csv", golden_softmax_central),
                         ("de2mfw_config.csv", golden_de2mfw_config)]:

@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from _fixtures import golden_de2mfw, golden_delmfw, golden_dofw, read_golden
 from _reference import meta_fw_run
 from delayfw import runner, seeding
-from delayfw.baselines import dofw_run
 from delayfw.de2mfw import AlgoParams, algorithm_constants, delmfw_run, tuned_params
-from delayfw.delay import DelaySchedule, gen_delays
+from delayfw.delay import DelaySchedule
 from delayfw.geometry import KINDS, ConstraintSet
-from delayfw.losses import synth_quadratic_stream, synth_stream
+from delayfw.losses import synth_quadratic_stream
 from delayfw.metrics import attach_regret, compute_comparator
 from delayfw.network import k0_of, metropolis_weights, topology
 
@@ -264,30 +263,20 @@ def test_criterion_6_regret_scaling():
 
 
 def test_criterion_7_delay_sensitivity():
+    """Built from configs through runner.run_single, so the runs take the default tuning."""
     start = time.perf_counter()
-    T, p, C, batch = 500, 20, 5, 10
-    cset = ConstraintSet("l1_ball", 8.0, p * C)
-    seeds = range(5)
-    dmaxes = (1, 21, 101)
-    totals = {d: [] for d in dmaxes}
-    dofw_totals = []
-    from delayfw.losses import estimate_constants
 
-    for seed in seeds:
-        stream = synth_stream(seeding.rng_for(seed, seeding.STREAM_LOSS, 7),
-                              T, p, C, batch)
-        G, beta = estimate_constants(stream, cset)
-        for dmax in dmaxes:
-            schedule = gen_delays(T, dmax,
-                                  seeding.rng_for(seed, seeding.STREAM_DELAY, 7, dmax))
-            D = cset.diameter()
-            params = tuned_params(T, G, beta, D, float(schedule.B),
-                                  algorithm_constants(G, beta, D, 1))
-            trace = delmfw_run(cset, stream, schedule, params, seed=seed)
-            totals[dmax].append(trace.total_loss)
-            if dmax == 101:
-                eta_reg = cset.diameter() / (G * math.sqrt(T))  # run_single's DOFW step
-                dofw_totals.append(dofw_run(cset, stream, schedule, eta_reg, seed).total_loss)
+    def total_loss(mode, seed, dmax):
+        cfg = runner.config_from_dict({
+            "mode": mode, "T": 500,
+            "set": {"kind": "l1_ball", "radius": 8.0, "p": 20, "C": 5},
+            "loss": {"kind": "softmax_xent", "batch": 10, "seed": 7},
+            "delay": {"dmax": dmax, "seed": 7}, "seeds": [seed]})
+        return runner.run_single(cfg, seed).total_loss
+
+    seeds, dmaxes = range(5), (1, 21, 101)
+    totals = {d: [total_loss("centralized", s, d) for s in seeds] for d in dmaxes}
+    dofw_totals = [total_loss("baseline_dofw", s, 101) for s in seeds]
     means = [float(np.mean(totals[d])) for d in dmaxes]
     assert means[0] < means[1] < means[2], f"mean totals not increasing: {means}"
     wins = sum(1 for a, b in zip(totals[101], dofw_totals) if a < b)

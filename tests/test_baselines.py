@@ -1,6 +1,7 @@
 """Baseline algorithm tests: stationarity, line search, projection, feasibility."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -102,14 +103,14 @@ def test_run_drivers():
                                 (dgd_run, "baseline_dgd", "eta_dgd")]:
         trace = run(cset, stream, schedule, 0.3, seed=4)
         again = run(cset, stream, schedule, 0.3, seed=4)
-        assert trace.mode == mode
-        assert trace.decisions.shape == (T, 3)
+        assert trace.metadata["mode"] == mode
+        assert trace.decisions.shape == (T, 1, 3) and trace.per_agent_loss.shape == (T, 1)
         assert np.array_equal(trace.decisions, again.decisions)
         assert trace.metadata[step_key] == repr(0.3)
         assert trace.metadata["B"] == schedule.B
-        for t in range(T):
-            assert cset.contains(trace.decisions[t], tol=1e-9)
-            assert trace.inst_loss[t] == stream.loss(0, t + 1).value(trace.decisions[t])
+        for t, (x,) in enumerate(trace.decisions):
+            assert cset.contains(x, tol=1e-9)
+            assert trace.inst_loss[t] == stream.loss(0, t + 1).value(x)
 
 
 def baseline_config(mode, **over):
@@ -153,6 +154,20 @@ def test_configured_constants_set_the_steps():
             assert float(meta[key]) == pytest.approx(0.19799, abs=1e-5)  # 7/(5 sqrt 50)
 
 
+def test_dgd_regret_grows_as_the_square_root_of_t():
+    """DGD's regret is O(sqrt(T + B)), and B grows in proportion to T at a fixed dmax."""
+    start = time.perf_counter()
+    horizons = (1024, 4096, 16384)
+    means = []
+    for T in horizons:
+        cfg = baseline_config("baseline_dgd", T=T, seeds=[0, 1, 2])  # quadratic, dim 8, dmax 10
+        means.append(float(np.mean([runner.run_single(cfg, s).final_regret for s in cfg.seeds])))
+    slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
+    assert 0.4 <= slope <= 0.6, f"log-log slope {slope:.3f} of mean final regret {means}"
+    wall = time.perf_counter() - start
+    print(f"DGD mean final regret {means}, slope {slope:.3f}, {wall:.2f}s")
+
+
 def test_dofw_gradients_use_origin_round_decisions():
     # d=(3,1,1): round 1's gradient arrives at t=3 and must be evaluated at x_1
     T = 3
@@ -170,7 +185,7 @@ def test_dofw_gradients_use_origin_round_decisions():
     for t, rel in [(1, []), (2, [2]), (3, [1, 3])]:
         xs.append(state.x.copy())
         state.round([stream_losses[s - 1].grad(xs[s - 1]) for s in rel])
-    np.testing.assert_array_equal(trace.decisions, np.array(xs))
+    np.testing.assert_array_equal(trace.decisions[:, 0], np.array(xs))
 
 
 def test_horizon_and_agent_validation():

@@ -402,8 +402,7 @@ def test_regret_comparator_losses_bitwise_equal_per_round(kind, n, T, seed):
     # n up to 12 crosses 8, where a pairwise np.sum over agents would round differently
     stream, _ = stream_of(kind, seed, T, n)
     x = np.random.default_rng(seed).normal(scale=2.0, size=stream.dim)
-    trace = RunTrace(mode="delmfw", decisions=np.zeros((T, stream.dim)),
-                     inst_loss=np.zeros(T), metadata={})
+    trace = RunTrace(np.zeros((T, 1, stream.dim)), np.zeros((T, 1)), {})
     want = -np.cumsum([stream.average_value(x, t) for t in range(1, T + 1)])
     np.testing.assert_array_equal(regret(trace, comparator_at(x), stream), want)
 
@@ -415,8 +414,7 @@ def test_regret_makes_one_value_call_for_the_comparator(monkeypatch, loss):
     x = np.random.default_rng(1).normal(size=stream.dim)
     decisions = np.random.default_rng(0).normal(size=(T, n, stream.dim))
     pal = per_agent_global_losses(stream, decisions)
-    trace = RunTrace(mode="de2mfw", decisions=decisions, inst_loss=pal.max(axis=1),
-                     metadata={}, per_agent_loss=pal)
+    trace = RunTrace(decisions, pal, {})
     value = Counter(monkeypatch, cls, "value")
     curve = regret(trace, comparator_at(x), stream)
     assert value.calls == 1  # one stacked call over all (agent, round) losses

@@ -5,8 +5,10 @@ own gossip weights, own update loops) and compared to the library run; the
 library's CSV text is then compared byte-for-byte against the committed
 files under tests/golden/.  The two softmax fixtures are compared by bytes
 only; their comparator gap is written with repr, so they pin the softmax
-kernel to the last bit.  The sixth fixture is built from a config through
-runner.run_single and compared by bytes only: it pins the default tuning.
+kernel to the last bit.  The DGD fixture runs on the DOFW fixture's losses
+and delays and is compared by bytes only.  The sixth fixture is built from
+a config through runner.run_single and compared by bytes only: it pins the
+default tuning.
 The benchmark's three workloads, run for seed 0, are pinned by the sha256
 of their trace CSVs (bench_workloads.sha256), so a moved benchmark trace
 fails here and not only in a benchmark run.
@@ -31,6 +33,7 @@ from _fixtures import (
     golden_de2mfw,
     golden_de2mfw_config,
     golden_delmfw,
+    golden_dgd,
     golden_dofw,
     golden_softmax_central,
     golden_softmax_net,
@@ -244,7 +247,7 @@ def hand_dofw():
 def test_dofw_hand_simulation():
     trace, stream, _ = golden_dofw()
     decisions, inst = hand_dofw()
-    assert np.array_equal(trace.decisions, decisions)
+    assert np.array_equal(trace.decisions[:, 0], decisions)
     assert np.array_equal(trace.inst_loss, inst)
     comp = compute_comparator(stream, CSET)
     want = hand_regret_curve(inst, comp.x, lambda x, t: stream.average_value(x, t))
@@ -254,6 +257,13 @@ def test_dofw_hand_simulation():
 def test_dofw_golden_bytes():
     trace, _, _ = golden_dofw()
     committed = read_golden("dofw_t3.csv")
+    assert trace.csv_text() == committed
+
+
+def test_dgd_golden_bytes():
+    """Projected gradient descent on the same losses and delays, bytes only."""
+    trace, _, _ = golden_dgd()
+    committed = read_golden("dgd_t3.csv")
     assert trace.csv_text() == committed
 
 

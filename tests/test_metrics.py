@@ -36,10 +36,10 @@ def alternating_stream(T):
 
 
 def trace_for(decisions, stream):
-    decisions = np.asarray(decisions, dtype=float)
-    inst = np.array([stream.loss(0, t + 1).value(decisions[t]) for t in range(len(decisions))])
-    return RunTrace(mode="delmfw", decisions=decisions, inst_loss=inst,
-                    metadata={"mode": "delmfw", "seed": 0})
+    """A one-agent trace of the (T, m) decisions, its losses f_t(x_t) computed one by one."""
+    decisions = np.asarray(decisions, dtype=float)[:, None]
+    inst = [[stream.loss(0, t + 1).value(x)] for t, (x,) in enumerate(decisions)]
+    return RunTrace(decisions, np.array(inst), {"mode": "delmfw", "seed": 0})
 
 
 # -- comparator -----------------------------------------------------------------
@@ -227,8 +227,7 @@ def test_distributed_regret_is_worst_agent():
     pal = per_agent_global_losses(stream, decisions)
     # global average loss F(x) = (|x-t0|^2 + |x-t1|^2)/4 = (|x|^2 + 1)/2
     np.testing.assert_allclose(pal, [[1.0, 0.5], [1.0, 0.5]], atol=1e-15)
-    trace = RunTrace(mode="de2mfw", decisions=decisions,
-                     inst_loss=pal.max(axis=1), metadata={}, per_agent_loss=pal)
+    trace = RunTrace(decisions, pal, {})
     comp = Comparator(x=np.zeros(2), gap=0.0, iterations=0, converged=True)
     curve = regret(trace, comp, stream)
     np.testing.assert_allclose(curve, [0.5, 1.0], atol=1e-15)
@@ -286,8 +285,7 @@ def test_csv_diagnostic_columns(tmp_path):
 
 
 def test_csv_nine_significant_digits(tmp_path):
-    trace = RunTrace(mode="delmfw", decisions=np.zeros((1, 2)),
-                     inst_loss=np.array([1.0 / 3.0]), metadata={"mode": "delmfw"},
+    trace = RunTrace(np.zeros((1, 1, 2)), np.array([[1.0 / 3.0]]), {"mode": "delmfw"},
                      regret_prefix=np.array([2.0 / 3.0]))
     assert "0.333333333" in trace.csv_text()
     assert "0.666666667" in trace.csv_text()
@@ -296,8 +294,9 @@ def test_csv_nine_significant_digits(tmp_path):
 def test_csv_rows_print_each_float_with_format_9g():
     vals = np.array([0.0, -0.0, 1e-320, 1e17, -2.5e-7, 1.0 / 3.0, math.inf, math.nan])
     T = len(vals)
-    trace = RunTrace(mode="de2mfw", decisions=np.zeros((T, 2, 1)), inst_loss=vals,
-                     metadata={}, regret_prefix=vals[::-1].copy(),
+    # inst_loss is the row max: -inf never wins it, nan always does
+    pal = np.column_stack([np.full(T, -math.inf), vals])
+    trace = RunTrace(np.zeros((T, 2, 1)), pal, {}, regret_prefix=vals[::-1].copy(),
                      consensus=np.column_stack([vals, vals]), tracking=np.ones((T, 3)))
     rows = trace.csv_text().splitlines()[1:]
     cum = np.cumsum(vals)

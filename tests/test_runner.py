@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _fixtures import read_text, read_trace_csv, write_schedule_csv
 from delayfw import cli, runner, seeding
@@ -375,6 +377,34 @@ def test_all_modes_run(tmp_path):
         obj["mode"] = mode
         res = runner.run_experiment(parse(obj), str(tmp_path / mode))
         assert os.path.exists(res["traces"][0])
+
+
+TRACE_MODES = {"centralized": "delmfw", "distributed": "de2mfw",
+               "baseline_dofw": "baseline_dofw", "baseline_dgd": "baseline_dgd"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(runner.MODES), T=st.integers(1, 20), softmax=st.booleans(),
+       dim=st.integers(1, 3), n=st.integers(1, 5),
+       topo=st.sampled_from(["complete", "cycle", "grid"]), seed=st.integers(0, 3),
+       data=st.data())
+def test_every_mode_returns_the_network_trace_shape(mode, T, softmax, dim, n, topo, seed, data):
+    body = {"mode": mode, "T": T, "delay": {"dmax": data.draw(st.integers(1, T), label="dmax")},
+            "seeds": [seed]}
+    if softmax:
+        body["set"] = {"kind": "l1_ball", "radius": 2.0, "p": dim, "C": 2}
+        body["loss"] = {"kind": "softmax_xent", "batch": 2}
+    else:
+        body["set"] = {"kind": "l1_ball", "radius": 1.0, "dim": dim}
+        body["loss"] = {"kind": "quadratic"}
+    if mode == "distributed":
+        body["topology"] = {"kind": topo, "n": n}
+    cfg = parse(body)
+    trace = runner.run_single(cfg, seed)
+    assert trace.decisions.shape == (T, cfg.n_agents, cfg.dim)
+    assert trace.per_agent_loss.shape == (T, cfg.n_agents)
+    assert np.array_equal(trace.inst_loss, trace.per_agent_loss.max(axis=1))
+    assert f"#mode={TRACE_MODES[mode]}" in trace.csv_text().splitlines()
 
 
 def test_softmax_synthetic_run(tmp_path):
