@@ -134,9 +134,12 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
     max_iters.  Otherwise it takes the step x' = project(y - grad Phi(y)/L)
     from the momentum point y, doubling L (from 1.0) until the quadratic
     upper bound of Phi at y holds at x', then moves y by Nesterov's
-    momentum (Beck & Teboulle 2009).  Each point is evaluated once, value
-    and gradient together: the start vertex (the first y), each later y
-    and each trial x'; the accepted x' gives the next gap its gradient.
+    momentum (Beck & Teboulle 2009).  The momentum restarts from 1 whenever
+    <grad Phi(y), x' - x> > 0, the gradient restart of O'Donoghue & Candès
+    (2015), so the next momentum point is x' itself.  Each point is
+    evaluated once, value and gradient together: the start vertex (the
+    first y), each later y and each trial x'; the accepted x' gives the
+    next gap its gradient.
     Default tol: 1e-6 * max(1, per-round loss at the start vertex).  A run
     that does not converge says so in gap and converged, never raises.
     """
@@ -161,6 +164,8 @@ def compute_comparator(stream: LossStream, cset: ConstraintSet, max_iters: int =
             if fz <= fy + float(gy @ step) + 0.5 * L * float(step @ step):
                 break
             L *= 2.0
+        if float(gy @ (z - x)) > 0.0:  # the step climbs Phi: restart the momentum
+            momentum = 1.0
         nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         y = z + ((momentum - 1.0) / nxt) * (z - x)
         x, grad, momentum = z, gz, nxt

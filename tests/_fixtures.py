@@ -9,7 +9,8 @@ Also holds ``write_schedule_csv``, the file writer for delay-schedule tests,
 ``bits``, the bit patterns that bitwise comparisons of float arrays read,
 ``ftpl_noise``, the noise rows for oracle banks built directly,
 ``feedback_spy``, which records the feedback calls oracle banks absorb,
-``read_trace_csv``, which parses a written trace back into arrays,
+``split_trace``, which splits a trace's text into metadata and printed
+cells, ``read_trace_csv``, which parses a written trace back into arrays,
 ``read_text``, the text of a written file, ``read_golden``, the text of a
 committed golden file, and
 ``bench_workload_digest``, the trace digest of a benchmark workload.
@@ -249,18 +250,16 @@ def bench_workload_digest(name):
     return hashlib.sha256(trace.csv_text().encode()).hexdigest()
 
 
+def split_trace(text):
+    """(metadata dict, {column name: list of printed cells}) of a trace CSV's text."""
+    lines = [line for line in text.splitlines() if line]
+    meta = dict(line[1:].partition("=")[::2] for line in lines if line.startswith("#"))
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    return meta, {name: [row[i] for row in body[1:]] for i, name in enumerate(body[0])}
+
+
 def read_trace_csv(path):
     """Parse a trace CSV back into (metadata dict, column dict of arrays)."""
-    meta, header, rows = {}, None, []
     with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key] = val
-            elif header is None:
-                header = line.split(",")
-            elif line:
-                rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows)
-    return meta, {name: data[:, i] for i, name in enumerate(header)}
+        meta, cols = split_trace(fh.read())
+    return meta, {name: np.array(cells, dtype=float) for name, cells in cols.items()}

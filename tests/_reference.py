@@ -9,7 +9,9 @@ ftpl_query_expected averages an FTPL prediction over fresh noise draws,
 for the tests of the oracle's expected behaviour.  comparator_four_calls
 is the comparator loop that evaluates the summed loss's value and its
 gradient in separate calls, four per iteration at two distinct points;
-the fused comparator must match it bit for bit.  l1_lmo_by_sign picks the
+the fused comparator must match it bit for bit.  comparator_plain is the
+comparator loop without its momentum restart; the restarted one must reach
+the same optimum within the two duality gaps.  l1_lmo_by_sign picks the
 l1-ball vertex by sign, zero mask and multiply; the batched LMO's one
 np.where must match it bit for bit.  consensus_error_trailing sums squared
 distances along the trailing coordinate axis; the coordinate-major
@@ -180,7 +182,7 @@ def comparator_four_calls(stream, cset, max_iters=5000, tol=None):
 
     Each iteration evaluates the gradient at x, the value and the gradient
     at y, and the value at every trial point; otherwise the same steps as
-    metrics.compute_comparator.
+    metrics.compute_comparator, the momentum restart included.
     """
     x = cset.lmo(np.zeros(cset.dim))
     T = stream.T
@@ -202,9 +204,45 @@ def comparator_four_calls(stream, cset, max_iters=5000, tol=None):
             if total_value(stream, z) <= fy + float(gy @ step) + 0.5 * L * float(step @ step):
                 break
             L *= 2.0
+        if float(gy @ (z - x)) > 0.0:
+            momentum = 1.0
         nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         y = z + ((momentum - 1.0) / nxt) * (z - x)
         x, momentum = z, nxt
+    return Comparator(x, gap, it, gap <= tol * T)
+
+
+def comparator_plain(stream, cset, max_iters=5000, tol=None):
+    """FISTA comparator without the momentum restart.
+
+    metrics.compute_comparator's loop before it restarted the momentum: the
+    same evaluations, steps and stopping rule, with Nesterov's momentum
+    growing for the whole run.
+    """
+    x = cset.lmo(np.zeros(cset.dim))
+    T = stream.T
+    fx, grad = stream.total_grad(x)
+    if tol is None:
+        tol = 1e-6 * max(1.0, fx / T)
+    y, fy, gy, momentum, L = x, fx, grad, 1.0, 1.0
+    gap, it = math.inf, 0
+    for it in range(max_iters + 1):
+        v = cset.lmo(grad)
+        gap = float(grad @ (x - v))
+        if gap <= tol * T or it == max_iters:
+            break
+        if it > 0:
+            fy, gy = stream.total_grad(y)
+        while True:
+            z = cset.project(y - gy / L)
+            step = z - y
+            fz, gz = stream.total_grad(z)
+            if fz <= fy + float(gy @ step) + 0.5 * L * float(step @ step):
+                break
+            L *= 2.0
+        nxt = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        y = z + ((momentum - 1.0) / nxt) * (z - x)
+        x, grad, momentum = z, gz, nxt
     return Comparator(x, gap, it, gap <= tol * T)
 
 

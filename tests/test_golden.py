@@ -39,6 +39,7 @@ from _fixtures import (
     golden_softmax_net,
     read_golden,
 )
+from make_golden import DIGESTS, differences
 from delayfw import seeding
 from delayfw.metrics import compute_comparator
 from delayfw.network import metropolis_weights, topology
@@ -300,3 +301,18 @@ def bench_digests():
 @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
 def test_bench_workload_trace_digests(name):
     assert bench_workload_digest(name) == bench_digests()[name]
+
+
+def test_check_names_what_moved():
+    # make_golden.py --check reports the header keys and data columns that differ,
+    # and for the digest file the workloads whose lines changed
+    old = read_golden("softmax_net_c3.csv")
+    lines = old.splitlines(keepends=True)
+    first_row = next(i for i, line in enumerate(lines) if line[0].isdigit())
+    lines[0] = "#A=4.0\n"
+    lines[first_row] = lines[first_row].replace(",1.89522572,", ",1.89522573,")
+    assert differences("softmax_net_c3.csv", old, "".join(lines)) == ["#A", "regret_prefix"]
+    assert differences("softmax_net_c3.csv", old, old) == []
+    digests = read_golden(DIGESTS)
+    moved = digests.replace(bench_digests()["net_softmax"], "0" * 64)
+    assert differences(DIGESTS, digests, moved) == ["net_softmax"]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import read_trace_csv
-from _reference import comparator_four_calls, consensus_error_trailing
+from _reference import comparator_four_calls, comparator_plain, consensus_error_trailing
 from delayfw import runner
 from delayfw.geometry import KINDS, ConstraintSet
 from delayfw.losses import LossStream, QuadraticLoss, synth_quadratic_stream, synth_stream
@@ -142,6 +142,27 @@ def test_comparator_matches_four_call_loop(loss, kind, n, T, p, C, radius, max_i
                            comparator_four_calls(stream, cset, max_iters=max_iters))
 
 
+@settings(max_examples=60, deadline=None)
+@given(loss=st.sampled_from(["quadratic", "softmax"]), kind=st.sampled_from(KINDS),
+       n=st.integers(1, 4), T=st.integers(1, 12), p=st.integers(1, 4), C=st.integers(1, 3),
+       radius=st.floats(0.1, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_restarted_comparator_finds_the_plain_loops_optimum(loss, kind, n, T, p, C, radius, seed):
+    dim = p * C
+    if loss == "quadratic":
+        stream = synth_quadratic_stream(seed, T, dim, n_agents=n, scale=radius)
+    else:
+        stream = synth_stream(seed, T, p=p, C=C, batch=2, n_agents=n)
+    cset = ConstraintSet(kind, radius, dim)
+    fast = compute_comparator(stream, cset, max_iters=2000)
+    plain = comparator_plain(stream, cset, max_iters=2000)
+    if fast.converged and plain.converged:
+        # each gap bounds its point's excess over min Phi, so the two values are
+        # at most the sum of the gaps apart
+        phi_fast, phi_plain = stream.total_value(fast.x), stream.total_value(plain.x)
+        slack = 1e-9 * (1.0 + abs(phi_plain))
+        assert abs(phi_fast - phi_plain) <= fast.gap + plain.gap + slack
+
+
 def counting(monkeypatch, owner, name):
     """Count the calls of owner.name for the rest of the test."""
     calls = [0]
@@ -178,7 +199,7 @@ def test_comparator_evaluates_each_point_once(monkeypatch):
     comp = compute_comparator(stream, cset)
     # the start vertex, every momentum point after the first, every trial point
     assert evaluations[0] == comp.iterations + projects[0]
-    assert (comp.iterations, projects[0]) == (76, 81)
+    assert (comp.iterations, projects[0]) == (36, 41)
 
 
 # -- regret ----------------------------------------------------------------------
